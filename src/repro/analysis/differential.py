@@ -43,6 +43,7 @@ from repro import obs
 from repro.ebpf.program import BpfProgram
 from repro.errors import BpfError, VerifierReject
 from repro.kernel.config import PROFILES, Flaw, KernelConfig
+from repro.kernel.syscall import replay_kernel
 from repro.obs.taxonomy import classify
 from repro.verifier.core import Verifier
 
@@ -67,26 +68,6 @@ _FEATURE_FIELDS = (
     "unprivileged_allowed",
     "complexity_limit",
 )
-
-
-def _replay_kernel(config: KernelConfig, gp):
-    """Rebuild a kernel holding the program's maps (same fd layout).
-
-    Same contract as :func:`repro.fuzz.oracle.replay_kernel`, duplicated
-    here (it is four lines) to keep ``analysis`` importable without the
-    ``fuzz`` package.
-    """
-    from repro.kernel.syscall import Kernel
-
-    kernel = Kernel(config)
-    for bpf_map in gp.maps:
-        kernel.map_create(
-            bpf_map.map_type,
-            bpf_map.key_size,
-            bpf_map.value_size,
-            bpf_map.max_entries,
-        )
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -173,7 +154,7 @@ class DifferentialOracle:
         fingerprint is the sorted multiset of exit-R0 range summaries,
         canonical across profiles even when DFS path order differs.
         """
-        kernel = _replay_kernel(config, gp)
+        kernel = replay_kernel(config, gp)
         prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
         verifier = Verifier(kernel, prog, sanitize=False,
                             collect_exit_states=True)

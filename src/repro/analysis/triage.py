@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from repro.errors import BpfError, VerifierReject
 from repro.ebpf.disasm import format_insn
 from repro.ebpf.program import BpfProgram
-from repro.fuzz.oracle import BugFinding, replay_kernel
+from repro.fuzz.oracle import BugFinding
 from repro.kernel.config import KernelConfig
+from repro.kernel.syscall import replay_kernel
 
 __all__ = ["TriageReport", "triage_finding"]
 

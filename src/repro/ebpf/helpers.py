@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 import errno
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.errors import KernelPanic
 from repro.ebpf.maps import MapType
@@ -222,10 +223,7 @@ def _impl_probe_read(ctx: HelperContext, dst: int, size: int, src: int) -> int:
         # probe_read handles faults gracefully: zero the buffer, -EFAULT.
         ctx.mem.checked_write_bytes(dst, b"\x00" * size, who="probe_read")
         return -errno.EFAULT
-    data = bytes(
-        ctx.mem._arena[src - 0xFFFF_8880_0000_0000 : src - 0xFFFF_8880_0000_0000 + size]
-    )
-    ctx.mem.checked_write_bytes(dst, data, who="probe_read")
+    ctx.mem.checked_write_bytes(dst, ctx.mem.peek_bytes(src, size), who="probe_read")
     return 0
 
 
@@ -729,12 +727,18 @@ def _build_protos() -> dict[int, HelperProto]:
     return {int(p.helper_id): p for p in protos}
 
 
+#: Every helper, built once per process.  Protos are frozen and their
+#: ``impl``s are module functions, so kernels share them; the mapping
+#: is read-only so no kernel's filtering can leak into another's.
+_PROTOS: Mapping[int, HelperProto] = MappingProxyType(_build_protos())
+
+
 class HelperRegistry:
     """Per-kernel helper table filtered by the version's feature set."""
 
     def __init__(self, config: KernelConfig) -> None:
         self.config = config
-        self._protos = dict(_build_protos())
+        self._protos = dict(_PROTOS)
         if not config.has_btf_access:
             self._protos.pop(int(HelperId.GET_CURRENT_TASK_BTF), None)
         if not config.has_bpf_loop:

@@ -34,10 +34,10 @@ from repro.errors import (
     WarnReport,
 )
 from repro.kernel.config import Flaw, KernelConfig
-from repro.kernel.syscall import Kernel
+from repro.kernel.syscall import replay_kernel
 from repro.fuzz.structure import GeneratedProgram
 
-__all__ = ["BugFinding", "Oracle", "replay_kernel"]
+__all__ = ["BugFinding", "Oracle"]
 
 #: Verifier flaws that manifest as indicator #1 (triage candidates).
 _INDICATOR1_FLAWS = (
@@ -72,24 +72,6 @@ class BugFinding:
         return self.indicator in (
             "indicator1", "indicator2", "differential", "invariant"
         )
-
-
-def replay_kernel(config: KernelConfig, gp: GeneratedProgram) -> Kernel:
-    """Rebuild a kernel with the program's resources (same fd layout).
-
-    File descriptors are handed out sequentially from 3 in both the
-    original and the replay kernel, so recreating the maps in creation
-    order makes the program's embedded fds valid again.
-    """
-    kernel = Kernel(config)
-    for bpf_map in gp.maps:
-        kernel.map_create(
-            bpf_map.map_type,
-            bpf_map.key_size,
-            bpf_map.value_size,
-            bpf_map.max_entries,
-        )
-    return kernel
 
 
 class Oracle:

@@ -48,6 +48,11 @@ KMALLOC_MAX_SIZE = 4 << 20
 
 _ALIGN = 8
 
+#: Initial arena size.  Kernels use a few KiB (a fuzzing iteration's
+#: maps, context and helper records); ``_grow`` doubles on demand, so
+#: a boot zeroes only about what it will use.
+INITIAL_ARENA = 16 << 10
+
 
 @dataclass
 class Allocation:
@@ -80,7 +85,7 @@ class KernelMemory:
     oracle.
     """
 
-    def __init__(self, arena_size: int = 1 << 20) -> None:
+    def __init__(self, arena_size: int = INITIAL_ARENA) -> None:
         self._arena = bytearray(arena_size)
         self._brk = 0
         #: allocation start offsets, sorted, for bisect lookup
@@ -107,8 +112,11 @@ class KernelMemory:
             raise MemoryError(f"kmalloc({size}) exceeds KMALLOC_MAX_SIZE")
         aligned = -(-size // _ALIGN) * _ALIGN
         needed = aligned + REDZONE
-        if self._brk + needed > len(self._arena):
-            self._grow(self._brk + needed)
+        # ``in_arena`` admits REDZONE bytes past the break, so the
+        # backing store must cover them too: a slice store past the end
+        # of a bytearray appends at the wrong offset.
+        if self._brk + needed + REDZONE > len(self._arena):
+            self._grow(self._brk + needed + REDZONE)
         start = self._brk
         self._brk += needed
         alloc = Allocation(start=KERNEL_BASE + start, size=size, tag=tag)
@@ -207,8 +215,7 @@ class KernelMemory:
 
     def checked_read_bytes(self, addr: int, size: int, who: str = "kernel") -> bytes:
         self.shadow_check(addr, size, is_write=False, who=who)
-        off = addr - KERNEL_BASE
-        return bytes(self._arena[off : off + size])
+        return self.peek_bytes(addr, size)
 
     def checked_write_bytes(self, addr: int, data: bytes, who: str = "kernel") -> None:
         self.shadow_check(addr, len(data), is_write=True, who=who)
@@ -244,6 +251,12 @@ class KernelMemory:
         self.raw_accesses += 1
         self._fault_check(addr, size, is_write=True)
         self._raw_store(addr, size, value)
+
+    def peek_bytes(self, addr: int, size: int) -> bytes:
+        """Unchecked, uncounted byte read of an address the caller has
+        already validated (``probe_read``'s fault-tolerant copy)."""
+        off = addr - KERNEL_BASE
+        return bytes(self._arena[off : off + size])
 
     # --- internals ------------------------------------------------------------
 

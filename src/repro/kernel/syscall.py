@@ -24,7 +24,7 @@ from repro.kernel.kasan import KernelMemory
 from repro.kernel.lockdep import Lockdep
 from repro.kernel.tracepoints import TracepointRegistry
 
-__all__ = ["Kernel"]
+__all__ = ["Kernel", "replay_kernel"]
 
 
 class Kernel:
@@ -221,3 +221,25 @@ class Kernel:
         """Detach everything (between fuzzer executions)."""
         self.tracepoints.detach_all()
         self.dispatcher.remove()
+
+
+def replay_kernel(config: KernelConfig, prog) -> Kernel:
+    """Boot a kernel holding ``prog.maps`` again (same fd layout).
+
+    File descriptors are handed out sequentially from 3 in both the
+    original and the replay kernel, so recreating the maps in creation
+    order makes the program's embedded fds valid again.  ``prog.maps``
+    holds live :class:`BpfMap` objects or shape-only specs; a spin lock
+    is recreated where the shape carries one, since the verifier checks
+    ``bpf_spin_lock`` calls against it.
+    """
+    kernel = Kernel(config)
+    for bpf_map in prog.maps:
+        kernel.map_create(
+            bpf_map.map_type,
+            bpf_map.key_size,
+            bpf_map.value_size,
+            bpf_map.max_entries,
+            has_spin_lock=getattr(bpf_map, "has_spin_lock", False),
+        )
+    return kernel

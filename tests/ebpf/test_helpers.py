@@ -46,6 +46,25 @@ class TestRegistry:
     def test_unknown_helper(self, patched_kernel):
         assert patched_kernel.helpers.get(9999) is None
 
+    def test_shared_table_does_not_leak_across_configs(self):
+        """Every kernel filters a copy of one process-wide table, so a
+        v5.15 boot (no bpf_loop) leaves later boots' helpers alone."""
+        common = [1, 2, 3, 4, 5, 6, 7, 8, 12, 14, 15, 16, 35, 87, 88, 89,
+                  93, 94, 109, 113, 130, 131, 132, 133, 158]
+        expected = {
+            "v5.15": common,
+            "v6.1": common + [165, 181],
+            "bpf-next": common + [165, 181],
+            "patched": common + [165, 181],
+        }
+        assert Kernel(PROFILES["v5.15"]()).helpers.ids() == expected["v5.15"]
+        new_ids = Kernel(PROFILES["bpf-next"]()).helpers.ids()
+        assert int(HelperId.LOOP) in new_ids
+        assert int(HelperId.SNPRINTF) in new_ids
+        for names in (list(PROFILES), list(reversed(PROFILES))):
+            for name in names:
+                assert Kernel(PROFILES[name]()).helpers.ids() == expected[name]
+
 
 class TestMapHelpers:
     def _setup(self, kernel):
@@ -116,6 +135,19 @@ class TestMiscHelpers:
         rv = proto.impl(ctx_for(patched_kernel), buf.start, 8, 0x41414141)
         assert rv == -errno.EFAULT
         assert patched_kernel.mem.checked_read(buf.start, 8) == 0
+
+    def test_probe_read_copies_any_arena_bytes(self, patched_kernel):
+        """probe_read reads past KASAN (a redzone here) and counts as
+        no raw access."""
+        mem = patched_kernel.mem
+        src = mem.kmalloc(8, tag="src")
+        dst = mem.kmalloc(16, tag="dst")
+        mem.raw_write(src.end, 8, 0x0807060504030201)
+        raw_before = mem.raw_accesses
+        proto = patched_kernel.helpers.get(HelperId.PROBE_READ_KERNEL)
+        assert proto.impl(ctx_for(patched_kernel), dst.start, 16, src.start) == 0
+        assert mem.checked_read(dst.start + 8, 8) == 0x0807060504030201
+        assert mem.raw_accesses == raw_before
 
 
 class TestSendSignal:

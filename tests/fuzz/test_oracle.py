@@ -14,6 +14,7 @@ from repro.errors import (
     NullDerefReport,
     RecursionReport,
     SanitizerReport,
+    VerifierReject,
     WarnReport,
 )
 from repro.kernel.config import PROFILES, Flaw
@@ -21,10 +22,10 @@ from repro.ebpf import asm
 from repro.ebpf.helpers import HelperId
 from repro.ebpf.maps import MapType
 from repro.ebpf.opcodes import AluOp, JmpOp, Reg, Size
-from repro.ebpf.program import ProgType
-from repro.fuzz.oracle import Oracle, replay_kernel
+from repro.ebpf.program import BpfProgram, ProgType
+from repro.fuzz.oracle import Oracle
 from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
-from repro.kernel.syscall import Kernel
+from repro.kernel.syscall import Kernel, replay_kernel
 
 
 def oracle():
@@ -141,3 +142,36 @@ class TestTriage:
         assert replay.map_by_fd(fd1).map_type == MapType.HASH
         assert replay.map_by_fd(fd2).map_type == MapType.ARRAY
         assert replay.map_by_fd(fd2).value_size == 16
+
+    @pytest.mark.parametrize("name", ["spin_lock_balanced", "spin_lock_leaked"])
+    def test_replay_kernel_keeps_spin_lock(self, name):
+        """Triage and the differential oracle verify a spin-lock program
+        on its replay kernel exactly as the campaign did on the original."""
+        from repro.analysis.differential import DifferentialOracle
+        from repro.testsuite.selftests import all_selftests
+
+        test = next(t for t in all_selftests() if t.name == name)
+        config = PROFILES["bpf-next"]()
+        kernel = Kernel(config)
+        prog = test.build(kernel)
+        gp = GeneratedProgram(
+            insns=list(prog.insns),
+            prog_type=prog.prog_type,
+            maps=[kernel.map_by_fd(3)],  # the selftest's one lock map
+            plan=ExecutionPlan(),
+        )
+
+        def verdict(k):
+            try:
+                k.prog_load(BpfProgram(insns=list(gp.insns),
+                                       prog_type=gp.prog_type))
+            except VerifierReject:
+                return "reject"
+            return "accept"
+
+        assert verdict(kernel) == test.expect
+        replay = replay_kernel(config, gp)
+        assert replay.map_by_fd(3).has_spin_lock
+        assert verdict(replay) == test.expect
+        outcome = DifferentialOracle(("bpf-next",)).verify_under(config, gp)
+        assert outcome.verdict == test.expect

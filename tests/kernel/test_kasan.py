@@ -7,10 +7,10 @@ pin down both paths plus the allocator's structural invariants.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import KasanReport, KernelPanic, NullDerefReport
-from repro.kernel.kasan import KERNEL_BASE, KernelMemory
+from repro.kernel.kasan import KERNEL_BASE, REDZONE, KernelMemory
 
 
 class TestAllocator:
@@ -43,6 +43,9 @@ class TestAllocator:
         mem = KernelMemory(arena_size=256)
         allocs = [mem.kmalloc(128) for _ in range(16)]
         assert len({a.start for a in allocs}) == 16
+        mem.checked_write(allocs[0].start, 8, 0xABCD)
+        mem.kmalloc(100_000)
+        assert mem.checked_read(allocs[0].start, 8) == 0xABCD
 
     def test_oversized_kmalloc_fails(self):
         mem = KernelMemory()
@@ -164,6 +167,24 @@ class TestRawPath:
 
 
 class TestProperties:
+    @given(st.integers(min_value=1, max_value=256),
+           st.lists(st.integers(min_value=1, max_value=512), min_size=1,
+                    max_size=40))
+    @example(48, [32])
+    def test_highest_mapped_word_round_trips(self, arena_size, sizes):
+        """After every kmalloc, the last word ``in_arena`` admits is
+        backed by the arena, whatever its initial size.  The example is
+        an allocation that fills the arena exactly: ``in_arena`` admits
+        REDZONE bytes past the break, and a store there must not append
+        at the end of a short bytearray and read back as 0."""
+        mem = KernelMemory(arena_size=arena_size)
+        for size in sizes:
+            a = mem.kmalloc(size)
+            top = a.start + -(-size // 8) * 8 + 2 * REDZONE - 8
+            assert mem.in_arena(top, 8) and not mem.in_arena(top + 1, 8)
+            mem.raw_write(top, 8, size)
+            assert mem.raw_read(top, 8) == size
+
     @given(st.lists(st.integers(min_value=1, max_value=512), min_size=1,
                     max_size=40))
     def test_every_live_byte_checked_readable(self, sizes):
