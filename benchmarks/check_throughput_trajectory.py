@@ -28,25 +28,29 @@ largely hardware-independent:
   ``--max-verify-fraction-rise`` — the verifier fast path is the thing
   this repo optimises, and a creeping verify share is the earliest
   symptom of losing it;
-- each cache hit rate under ``caches`` (verdict cache, tnum memo,
-  prune index) may not *drop* by more than ``--max-hit-rate-drop`` —
-  campaigns are seed-deterministic, so a falling hit rate means a
-  cache key or lookup path regressed, not that the workload changed.
+- each cache hit rate under ``caches`` (tnum memo, prune scan) may
+  not *drop* by more than ``--max-hit-rate-drop`` — campaigns are
+  seed-deterministic, so a falling hit rate means a cache key or
+  lookup path regressed, not that the workload changed.  The gated
+  names are the ones :func:`repro.obs.metrics.cache_hit_rates`
+  defines: a rate only the previous artifact has belongs to a deleted
+  cache and is reported as retired, while a defined rate missing from
+  the current artifact fails.
 
 Three more gates need only the **current** artifact, because the
 benchmark already measured each against a same-process baseline (a
 CPU ratio, not an absolute):
 
 - the flight recorder's disabled-mode overhead (from
-  ``test_flight_recorder_overhead``) must stay within
+  ``test_disabled_overhead[flight_recorder]``) must stay within
   ``--max-flight-overhead`` — the ISSUE-8 contract that the decision
   log costs nothing when off;
 - the hierarchical profiler's disabled-mode overhead (from
-  ``test_profiler_overhead``) must stay within
+  ``test_disabled_overhead[profiler]``) must stay within
   ``--max-profile-overhead`` — the ISSUE-9 contract that the campaign
   analytics layer costs nothing when off;
 - the repair synthesizer's disabled-mode overhead (from
-  ``test_repair_overhead``) must stay within
+  ``test_disabled_overhead[repair_feedback]``) must stay within
   ``--max-repair-overhead`` — the ISSUE-10 contract that the
   rejection-repair layer costs nothing when ``--repair-feedback`` is
   off.
@@ -65,6 +69,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.obs.metrics import cache_hit_rates  # noqa: E402
+
+#: the cache hit rates the current code defines (and so gates)
+DEFINED_RATES = tuple(sorted(cache_hit_rates({})))
 
 
 def load_programs_per_sec(path: str) -> tuple[float, dict]:
@@ -108,13 +120,19 @@ def check_cache_rates(previous: dict, current: dict,
               "skipping that gate")
         return True
     ok = True
-    for name in sorted(prev_rates):
-        prev = prev_rates[name]
+    for name in sorted(set(prev_rates) - set(DEFINED_RATES)):
+        print(f"trajectory: cache rate {name} retired (no longer "
+              f"defined); not gated")
+    for name in DEFINED_RATES:
         cur = cur_rates.get(name)
         if cur is None:
             print(f"trajectory: FAIL - cache rate {name} disappeared "
                   f"from the current artifact")
             ok = False
+            continue
+        prev = prev_rates.get(name)
+        if prev is None:
+            print(f"trajectory: cache rate {name} is new; not gated")
             continue
         drop = prev - cur
         print(f"trajectory: {name} {prev:.3f} -> {cur:.3f} "

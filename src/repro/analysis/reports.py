@@ -234,26 +234,18 @@ def render_dashboard(artifact: dict) -> str:
         rates = cache_hit_rates(counters)
         lines += ["", "verifier fast-path cache health:"]
         for label, rate_key, hits_key, misses_key in (
-            ("verdict cache", "verdict_hit_rate",
-             "cache.verdict.hits", "cache.verdict.misses"),
             ("tnum memo", "tnum_memo_hit_rate",
              "cache.tnum.hits", "cache.tnum.misses"),
-            ("prune index", "prune_index_hit_rate",
-             "verifier.prune.exact_hits", "verifier.prune.misses"),
+            ("prune scan", "prune_index_hit_rate",
+             "verifier.prune.scan_hits", "verifier.prune.misses"),
         ):
             rate = rates[rate_key]
             hits = counters.get(hits_key, 0)
-            if rate_key == "prune_index_hit_rate":
-                hits += counters.get("verifier.prune.scan_hits", 0)
             misses = counters.get(misses_key, 0)
             lines.append(
                 f"  {label:<14} {rate:>6.1%}  "
                 f"(hits={hits} misses={misses}) {_bar(rate)}"
             )
-        lines.append(
-            f"  {'exact-hit frac':<14} {rates['prune_exact_fraction']:>6.1%}  "
-            f"(of prune hits, answered by fingerprint probe)"
-        )
 
     shards = artifact.get("shards", [])
     if shards:

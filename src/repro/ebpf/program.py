@@ -255,9 +255,6 @@ class VerifiedProgram:
     stats: dict[str, int] = field(default_factory=dict)
     #: whether sanitation instrumentation was applied
     sanitized: bool = False
-    #: ``do_check`` outputs in replayable form (:class:`repro.verifier.
-    #: core.CheckSummary`) — what the frame-level verdict cache stores
-    check_summary: object | None = None
 
     @property
     def prog_type(self) -> ProgType:

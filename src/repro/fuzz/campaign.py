@@ -41,14 +41,13 @@ from repro.kernel.config import PROFILES, KernelConfig
 from repro.kernel.syscall import Kernel
 from repro.fuzz.baselines.buzzer_gen import BuzzerGenerator
 from repro.fuzz.baselines.syzkaller_gen import SyzkallerGenerator
-from repro.fuzz.corpus import Corpus, specs_of
+from repro.fuzz.corpus import Corpus
 from repro.fuzz.coverage import VerifierCoverage
 from repro.fuzz.generator import GeneratorConfig, StructuredGenerator
 from repro.fuzz.mutator import mutate
 from repro.fuzz.oracle import BugFinding, Oracle
 from repro.fuzz.rng import FuzzRng
 from repro.fuzz.structure import GeneratedProgram
-from repro.fuzz.verdict import VerdictCache
 from repro.runtime.executor import Executor
 from repro.verifier.tnum import tnum_memo_stats
 
@@ -87,8 +86,7 @@ class CampaignConfig:
     #: attempt a verified minimal repair for every rejection
     #: (:mod:`repro.analysis.repair`) and feed accepted repairs back
     #: into the mutation corpus; implies the flight recorder (the
-    #: failing-instruction attribution comes from the decision ring)
-    #: and disables the verdict cache like every introspection mode.
+    #: failing-instruction attribution comes from the decision ring).
     #: Off = zero-cost hot path.
     repair_feedback: bool = False
     #: run the hierarchical verifier profiler
@@ -234,19 +232,6 @@ class Campaign:
         # it to that iteration's fresh Kernel (crash isolation stays
         # per-iteration, construction cost does not).
         self.generator = make_generator(config.tool, None, self.rng)
-        # Frame-level verdict cache; off when invariant checking,
-        # tracing, flight recording, or profiling needs to observe
-        # do_check from the inside (a cached hit skips the very
-        # decisions those sinks exist to capture).
-        self.verdicts = (
-            VerdictCache()
-            if not config.check_invariants
-            and not config.trace_path
-            and not config.flight
-            and not config.profile
-            and not config.repair_feedback
-            else None
-        )
         # Replaced by run() with a clock wired to that run's metrics
         # registry and recorder; a bare default keeps _iteration usable
         # standalone (tests drive it directly).
@@ -415,7 +400,7 @@ class Campaign:
         verified = None
         with self._clock.phase("verify"):
             try:
-                verified = self._load(kernel, prog, gp)
+                verified = self._load(kernel, prog)
             except InvariantViolation as violation:
                 # Not a verdict: the verifier's own abstract state broke.
                 self._reject(result, _errno.EFAULT, str(violation),
@@ -609,7 +594,7 @@ class Campaign:
                       classification=entry["classification"])
         self._record(result, self.oracle.classify_divergence(div), iteration)
 
-    def _load(self, kernel: Kernel, prog: BpfProgram, gp: GeneratedProgram):
+    def _load(self, kernel: Kernel, prog: BpfProgram):
         sanitize = self.config.sanitize and kernel.config.sanitizer_available
         check = self.config.check_invariants
         # Root profiler frame: everything the verify phase pays for runs
@@ -619,17 +604,6 @@ class Campaign:
         if prof is not None:
             prof.push("verify")
         try:
-            if self.verdicts is not None:
-                coverage = (
-                    self.coverage if self.config.collect_coverage else None
-                )
-                return self.verdicts.load(
-                    kernel, prog,
-                    sanitize=sanitize,
-                    coverage=coverage,
-                    map_specs=specs_of(gp),
-                    kinds=self._frame_kinds(gp),
-                )
             if self.config.collect_coverage:
                 with self.coverage.collect():
                     return kernel.prog_load(prog, sanitize=sanitize,
@@ -658,6 +632,7 @@ class Campaign:
                         spec.key_size,
                         spec.value_size,
                         spec.max_entries,
+                        has_spin_lock=spec.has_spin_lock,
                     )
                     maps.append(kernel.map_by_fd(fd))
                 except BpfError:

@@ -20,12 +20,18 @@ __all__ = ["MapSpec", "CorpusEntry", "Corpus"]
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Enough of a map's shape to recreate it in a replay kernel."""
+    """Enough of a map's shape to recreate it in a replay kernel.
+
+    ``has_spin_lock`` is part of the shape: the verifier checks every
+    ``bpf_spin_lock`` call against the map it names, so a lock-less
+    re-creation turns an accepted program into a reject.
+    """
 
     map_type: MapType
     key_size: int
     value_size: int
     max_entries: int
+    has_spin_lock: bool = False
 
 
 @dataclass
@@ -42,7 +48,8 @@ class CorpusEntry:
 
 def specs_of(gp: GeneratedProgram) -> tuple[MapSpec, ...]:
     return tuple(
-        MapSpec(m.map_type, m.key_size, m.value_size, m.max_entries)
+        MapSpec(m.map_type, m.key_size, m.value_size, m.max_entries,
+                m.has_spin_lock)
         for m in gp.maps
     )
 

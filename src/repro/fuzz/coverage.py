@@ -44,8 +44,8 @@ instruction walker, ALU/memory checks, branch reasoning, and call
 checking), where control flow corresponds to verifier verdicts.  The
 data-structure modules (``tnum``/``state``/``stack``/``env``) are
 arithmetic and book-keeping plumbing whose edges carry no feedback
-signal — and keeping them out of scope is also what makes the pruning
-index, tnum memoization, and copy-on-write clone machinery they host
+signal — and keeping them out of scope is also what makes the tnum
+memoization and copy-on-write clone machinery they host
 *coverage-transparent*: a cache hit or miss can never change which
 edges a program contributes.
 """
@@ -428,12 +428,10 @@ class VerifierCoverage:
     def replay(self, window: Iterable[int]) -> None:
         """Apply a previously recorded collection window without tracing.
 
-        The frame-level verdict cache records the edge window of the
-        first (miss) verification of a program and replays it on every
-        hit, so ``last_new`` — the corpus feedback signal — and the
-        cumulative edge set evolve exactly as they would have had the
-        verifier actually run.  Semantically equivalent to a
-        :meth:`collect` block that traced the recorded edges.
+        Updates ``last_new`` — the corpus feedback signal — and the
+        cumulative edge set exactly as a :meth:`collect` block that
+        traced the recorded edges would.  The benchmark's span tracer
+        (``perfbench/spans.py``) wraps this method by name.
         """
         if self._collecting:
             raise CoverageReentryError(

@@ -138,7 +138,6 @@ class Kernel:
         log_level: int = 1,
         sanitize: bool = False,
         check_invariants: bool = False,
-        cached_check: object | None = None,
     ) -> VerifiedProgram:
         """``BPF_PROG_LOAD``: run the verifier; raises VerifierReject.
 
@@ -147,9 +146,6 @@ class Kernel:
         additionally runs the :class:`~repro.verifier.sanity.
         VStateChecker` at verifier checkpoints; a broken abstract state
         raises :class:`~repro.errors.InvariantViolation`.
-        ``cached_check`` replays a recorded :class:`~repro.verifier.
-        core.CheckSummary` from the verdict cache instead of running
-        ``do_check`` (only valid for a previously accepted program).
         """
         from repro.verifier.core import Verifier
 
@@ -161,7 +157,6 @@ class Kernel:
             log_level=log_level,
             sanitize=sanitize,
             check_invariants=check_invariants,
-            cached_check=cached_check,
         ).verify()
         verified.fd = self._install_fd(verified)
         self.loaded_programs.append(verified)

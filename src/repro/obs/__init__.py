@@ -145,8 +145,5 @@ def restore(token: tuple) -> None:
     """Reinstate the sinks that were current before :func:`install`."""
     global _current_metrics, _current_recorder, _current_flight
     global _current_profiler
-    _current_metrics, _current_recorder = token[0], token[1]
-    # Tokens minted before the flight recorder / profiler existed are
-    # shorter tuples; missing slots restore to the null sinks.
-    _current_flight = token[2] if len(token) > 2 else NULL_FLIGHT
-    _current_profiler = token[3] if len(token) > 3 else NULL_PROFILER
+    (_current_metrics, _current_recorder, _current_flight,
+     _current_profiler) = token

@@ -1,12 +1,11 @@
 """Flight recorder: a bounded ring of typed verifier decision events.
 
 The verifier makes thousands of micro-decisions per program — which
-instruction it is simulating, whether a state pruned (and how: exact
-fingerprint hit vs. ``states_equal`` scan), what a conditional branch
-refined a register's bounds to, which sanitation patch it scheduled —
-and the final verdict is a lossy summary of all of them.  The flight
-recorder keeps the **last N** of those decisions in a
-:class:`collections.deque` ring buffer, one ring per verification
+instruction it is simulating, whether a state pruned, what a
+conditional branch refined a register's bounds to, which sanitation
+patch it scheduled — and the final verdict is a lossy summary of all
+of them.  The flight recorder keeps the **last N** of those decisions
+in a :class:`collections.deque` ring buffer, one ring per verification
 (``begin`` resets it), so that when a verification ends "interestingly"
 (reject, invariant violation, divergence) the campaign layer can spill
 the tail of the decision history into the JSONL trace stream and the
@@ -36,8 +35,7 @@ Event kinds (each event is a plain dict with ``kind`` and ``seq``):
 - ``step``    — ``do_check`` reached an instruction; ``insn``, and at
   ``level >= 2`` the non-NOT_INIT registers (``regs``) and frame depth
 - ``prune``   — prune-point / loop-header decision; ``insn``, ``point``
-  (``prune`` | ``loop``), ``outcome`` (``exact-hit`` | ``scan-hit`` |
-  ``miss``)
+  (``prune`` | ``loop``), ``outcome`` (``scan-hit`` | ``miss``)
 - ``refine``  — branch knowledge narrowed a register; ``insn``,
   ``reg``, ``detail``
 - ``patch``   — sanitation rewrite scheduled; ``insn``, ``patch``

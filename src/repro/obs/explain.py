@@ -407,8 +407,8 @@ def replay_iteration(config, iteration: int):
     Campaign generation is a deterministic stream: reproducing
     iteration *N* requires replaying iterations ``0..N-1`` first (they
     advance the RNG and may have grown the mutation corpus).  This runs
-    a campaign with ``budget=N`` — cheap at explain-time scales, and
-    the verdict cache keeps the replay fast — then generates program
+    a campaign with ``budget=N`` — cheap at explain-time scales — then
+    generates program
     *N*.  Returns ``(campaign, kernel, gp, prog)``.
     """
     from dataclasses import replace

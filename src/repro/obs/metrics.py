@@ -259,11 +259,8 @@ def strip_wall_fields(snapshot: dict) -> dict:
     return stripped
 
 
-def _hit_rate(counters: dict, hits_key: str, misses_key: str,
-              extra_hits: str | None = None) -> float:
+def _hit_rate(counters: dict, hits_key: str, misses_key: str) -> float:
     hits = counters.get(hits_key, 0)
-    if extra_hits:
-        hits += counters.get(extra_hits, 0)
     total = hits + counters.get(misses_key, 0)
     return round(hits / total, 4) if total else 0.0
 
@@ -277,18 +274,10 @@ def cache_hit_rates(counters: dict) -> dict:
     definition of each rate.
     """
     return {
-        "verdict_hit_rate": _hit_rate(
-            counters, "cache.verdict.hits", "cache.verdict.misses"),
         "tnum_memo_hit_rate": _hit_rate(
             counters, "cache.tnum.hits", "cache.tnum.misses"),
         "prune_index_hit_rate": _hit_rate(
-            counters, "verifier.prune.exact_hits", "verifier.prune.misses",
-            extra_hits="verifier.prune.scan_hits"),
-        # Of the prune hits, how many the fingerprint probe answered
-        # without a states_equal scan.
-        "prune_exact_fraction": _hit_rate(
-            counters, "verifier.prune.exact_hits",
-            "verifier.prune.scan_hits"),
+            counters, "verifier.prune.scan_hits", "verifier.prune.misses"),
     }
 
 

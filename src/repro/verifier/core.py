@@ -20,7 +20,6 @@ the errno user space would see, which the acceptance-rate experiment
 from __future__ import annotations
 
 import errno
-from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import VerifierReject
@@ -54,7 +53,7 @@ from repro.verifier.env import (
 from repro.verifier.log import VerifierLog
 from repro.verifier.state import RegState, RegType
 
-__all__ = ["CheckSummary", "Verifier", "verify_program", "MAX_USER_INSNS"]
+__all__ = ["Verifier", "verify_program", "MAX_USER_INSNS"]
 
 #: Instruction-count cap for submitted programs (kernel: BPF_MAXINSNS
 #: for unprivileged, 1M for privileged; we use the classic cap).
@@ -177,33 +176,6 @@ def _profile_family(insn: Insn) -> str:
     return "jump.cond"
 
 
-@dataclass(frozen=True)
-class CheckSummary:
-    """Everything ``do_check`` computed that the later phases consume.
-
-    The summary is a pure function of ``(insns, kernel config,
-    sanitize)`` — it holds no kernel objects, only slot indices and
-    scalars — so the frame-level verdict cache can store it once and
-    replay it into a fresh :class:`Verifier` bound to a different
-    kernel instance.  ``alu_limits`` keeps the original insertion
-    order so the fixup phase walks it exactly as the first run did.
-    """
-
-    probe_mem: frozenset[int]
-    alu_limits: tuple[tuple[int, tuple[int, int]], ...]
-    helper_ids: frozenset[int]
-    uses_lock_helpers: bool
-    max_stack_depth: int
-    insns_processed: int
-    states_pushed: int
-    states_pruned: int
-    peak_stack: int
-    prune_exact_hits: int
-    prune_scan_hits: int
-    prune_misses: int
-    prune_evictions: int
-
-
 class Verifier:
     """One verification run over one program."""
 
@@ -215,7 +187,6 @@ class Verifier:
         sanitize: bool = False,
         check_invariants: bool = False,
         collect_exit_states: bool = False,
-        cached_check: CheckSummary | None = None,
     ) -> None:
         self.kernel = kernel
         self.config = kernel.config
@@ -263,9 +234,6 @@ class Verifier:
         #: first slots of LD_IMM64 pairs, collected during the
         #: structure pass so pseudo resolution need not rescan
         self._ld_imm64_idxs: list[int] = []
-        #: verdict-cache replay: skip ``do_check`` and restore its
-        #: recorded outputs instead (None = run the analysis)
-        self._cached_check = cached_check
 
     # --- services used by the check modules --------------------------------
 
@@ -473,10 +441,7 @@ class Verifier:
             # Hot path: no spans, no frames, just the pipeline.
             self._check_structure()
             self._resolve_pseudo()
-            if self._cached_check is not None:
-                self._restore_check(self._cached_check)
-            else:
-                self._do_check()
+            self._do_check()
             verified = self._fixup()
         else:
             # Recorder spans are shared no-ops when only profiling (and
@@ -491,10 +456,7 @@ class Verifier:
                     self._resolve_pseudo()
                 with rec.span("verifier.do_check"), \
                         frame_of(prof, "do_check"):
-                    if self._cached_check is not None:
-                        self._restore_check(self._cached_check)
-                    else:
-                        self._do_check()
+                    self._do_check()
                 with rec.span("verifier.fixup"), frame_of(prof, "fixup"):
                     verified = self._fixup()
         m.counter("verifier.accepted")
@@ -504,56 +466,13 @@ class Verifier:
         self._emit_prune_metrics(m)
         if self._flight.enabled:
             self._flight.verdict("accept", insn=self.cur_insn_idx)
-        verified.check_summary = self._summarize_check()
         return verified
 
     def _emit_prune_metrics(self, m) -> None:
         env = self.env
-        m.counter("verifier.prune.exact_hits", env.prune_exact_hits)
         m.counter("verifier.prune.scan_hits", env.prune_scan_hits)
         m.counter("verifier.prune.misses", env.prune_misses)
         m.counter("verifier.prune.evictions", env.prune_evictions)
-
-    def _summarize_check(self) -> CheckSummary:
-        env = self.env
-        return CheckSummary(
-            probe_mem=frozenset(self.probe_mem),
-            alu_limits=tuple(self.alu_limits.items()),
-            helper_ids=frozenset(self.helper_ids),
-            uses_lock_helpers=self.uses_lock_helpers,
-            max_stack_depth=self.max_stack_depth,
-            insns_processed=env.insns_processed,
-            states_pushed=env.states_pushed,
-            states_pruned=env.states_pruned,
-            peak_stack=env.peak_stack,
-            prune_exact_hits=env.prune_exact_hits,
-            prune_scan_hits=env.prune_scan_hits,
-            prune_misses=env.prune_misses,
-            prune_evictions=env.prune_evictions,
-        )
-
-    def _restore_check(self, summary: CheckSummary) -> None:
-        """Reinstate a cached ``do_check`` outcome on a fresh verifier.
-
-        Only valid for a program whose prior run *accepted*: the fixup
-        phase and the metric emissions then read exactly the fields
-        restored here, so the resulting :class:`VerifiedProgram` and
-        metrics are bit-identical to a full re-analysis.
-        """
-        self.probe_mem = set(summary.probe_mem)
-        self.alu_limits = dict(summary.alu_limits)
-        self.helper_ids = set(summary.helper_ids)
-        self.uses_lock_helpers = summary.uses_lock_helpers
-        self.max_stack_depth = summary.max_stack_depth
-        env = self.env
-        env.insns_processed = summary.insns_processed
-        env.states_pushed = summary.states_pushed
-        env.states_pruned = summary.states_pruned
-        env.peak_stack = summary.peak_stack
-        env.prune_exact_hits = summary.prune_exact_hits
-        env.prune_scan_hits = summary.prune_scan_hits
-        env.prune_misses = summary.prune_misses
-        env.prune_evictions = summary.prune_evictions
 
     def _initial_state(self) -> VerifierState:
         ctx = RegState.pointer(RegType.PTR_TO_CTX)

@@ -11,35 +11,23 @@ previously verified there; a new state that is *subsumed* by one of
 them (every register/stack slot at least as constrained) is not
 explored again (``is_state_visited``/``states_equal``).
 
-Two structural optimisations live here (see DESIGN.md "Verifier fast
-path"):
-
-- **Canonical state-hash index.**  Each stored state is keyed by
-  :func:`state_fingerprint`, a stable tuple over exactly the fields
-  :func:`states_equal` inspects.  Equal fingerprints imply subsumption
-  (subsumption is reflexive over those fields), so a re-reached state
-  whose fingerprint is already present prunes with one dict probe
-  instead of a pairwise ``states_equal`` scan.  A fingerprint miss
-  falls back to the full ordered subsumption scan — fingerprints can
-  only prove equality, never the *wider-subsumes-narrower* relation —
-  which keeps the pruning verdict bit-identical to the scan-only
-  implementation.
-- **Copy-on-write state cloning.**  :meth:`VerifierState.clone` marks
-  registers shared and copies only the per-frame register *list* (12
-  pointers) plus a storage-sharing stack handle; the deep copy of each
-  written record happens lazily at its first write, via
-  :meth:`FuncFrame.wreg` and the stack's ``_wslot``.  Branch forks and
-  explored-set snapshots clone far more state than any path ever
-  mutates, so nearly all of the former deep-copy work disappears.
-
 Per-index explored lists are bounded by an LRU (``PRUNE_CAP`` /
 ``LOOP_CAP``) with eviction counters, so loop-heavy programs cannot
-grow the explored set without bound.
+grow the explored set without bound.  A prune question is answered by
+an ordered ``states_equal`` scan of that list, most-recently-useful
+state last.
+
+**Copy-on-write state cloning** (see DESIGN.md "Verifier fast path"):
+:meth:`VerifierState.clone` marks registers shared and copies only the
+per-frame register *list* (12 pointers) plus a storage-sharing stack
+handle; the deep copy of each written record happens lazily at its
+first write, via :meth:`FuncFrame.wreg` and the stack's ``_wslot``.
+Branch forks and explored-set snapshots clone far more state than any
+path ever mutates, so nearly all of the deep-copy work disappears.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.ebpf.opcodes import Reg
@@ -59,7 +47,6 @@ __all__ = [
     "MAX_CALL_DEPTH",
     "PRUNE_CAP",
     "LOOP_CAP",
-    "state_fingerprint",
     "states_equal",
 ]
 
@@ -261,85 +248,6 @@ def states_equal(old: VerifierState, new: VerifierState) -> bool:
     return True
 
 
-def _reg_fingerprint(reg: RegState) -> tuple:
-    """Stable key over exactly the fields ``_reg_subsumed`` inspects.
-
-    Referents are interned by object identity (``id``), which is
-    stable for the lifetime of one verification (the kernel model owns
-    maps and BTF objects for at least as long as the env).  Fields the
-    subsumption check never reads — ``id``, ``ref_obj_id``,
-    ``subprog`` — are deliberately excluded so irrelevant identity
-    churn cannot defeat exact-hit pruning.
-    """
-    var_off = reg.var_off
-    return (
-        # Enum members are process-lifetime singletons, so their id()
-        # is equality-preserving — and hashes at C speed, unlike
-        # Enum.__hash__, which dominated the fingerprint cost.
-        id(reg.type),
-        var_off.value,
-        var_off.mask,
-        reg.smin,
-        reg.smax,
-        reg.umin,
-        reg.umax,
-        reg.off,
-        id(reg.map),
-        id(reg.btf),
-        reg.mem_size,
-        reg.pkt_range,
-    )
-
-
-def _stack_fingerprint(stack: StackState) -> tuple:
-    """Stable key over the constraints ``_stack_subsumed`` inspects.
-
-    Semantically empty slots (all bytes INVALID, nothing spilled) are
-    normalised away: they impose no constraint, so two states that
-    differ only by one materialising such a slot still key equal.
-    Slot order is normalised by sorting on the slot index.
-    """
-    items = []
-    for slot_idx, slot in stack.iter_slots():
-        spilled = slot.spilled
-        slot_bytes = slot.bytes
-        if spilled is None and all(b is SlotType.INVALID for b in slot_bytes):
-            continue
-        items.append((
-            slot_idx,
-            tuple(map(id, slot_bytes)),  # SlotType singletons, as above
-            _reg_fingerprint(spilled) if spilled is not None else None,
-        ))
-    items.sort()
-    return tuple(items)
-
-
-def state_fingerprint(state: VerifierState) -> tuple:
-    """A canonical hashable key for the explored-set index.
-
-    The contract that makes the index semantically transparent:
-    ``state_fingerprint(a) == state_fingerprint(b)`` implies
-    ``states_equal(a, b)`` (and vice versa with the roles swapped),
-    because the key covers every field the subsumption check reads and
-    subsumption is reflexive over them.  The converse does *not* hold —
-    a wider old state subsumes a narrower new one without keying equal
-    — which is why a fingerprint miss must still fall back to the full
-    scan.
-    """
-    return (
-        tuple(
-            (
-                frame.callsite,
-                tuple(_reg_fingerprint(r) for r in frame.regs),
-                _stack_fingerprint(frame.stack),
-            )
-            for frame in state.frames
-        ),
-        len(state.refs),
-        state.active_lock is None,
-    )
-
-
 class VerifierEnv:
     """Mutable bookkeeping for one verification run."""
 
@@ -348,11 +256,11 @@ class VerifierEnv:
         self.complexity_limit = complexity_limit
         #: pending branch states (DFS)
         self.stack: list[VerifierState] = []
-        #: fingerprint-keyed explored states per instruction index
-        #: (pruning candidates); insertion/recency-ordered for LRU
-        self.explored: dict[int, OrderedDict[tuple, VerifierState]] = {}
+        #: explored states per instruction index (pruning candidates),
+        #: least recently useful first
+        self.explored: dict[int, list[VerifierState]] = {}
         #: ditto for loop headers (separate capacity, reject-on-match)
-        self.loop_explored: dict[int, OrderedDict[tuple, VerifierState]] = {}
+        self.loop_explored: dict[int, list[VerifierState]] = {}
         #: id allocator for pointer identity / null resolution
         self._next_id = 1
         #: statistics exported into VerifiedProgram.stats
@@ -360,9 +268,8 @@ class VerifierEnv:
         self.states_pushed = 0
         self.states_pruned = 0
         self.peak_stack = 0
-        #: prune-index telemetry (per-program deterministic, exported
-        #: as verifier.prune.* metrics by the campaign layer)
-        self.prune_exact_hits = 0
+        #: prune telemetry (per-program deterministic, exported as
+        #: verifier.prune.* metrics)
         self.prune_scan_hits = 0
         self.prune_misses = 0
         self.prune_evictions = 0
@@ -388,38 +295,26 @@ class VerifierEnv:
 
     def _seen(
         self,
-        index: dict[int, OrderedDict[tuple, VerifierState]],
+        index: dict[int, list[VerifierState]],
         state: VerifierState,
         cap: int,
         point: str,
     ) -> bool:
         """Shared subsumption machinery for prune points and loop headers.
 
-        Exact fingerprint hit: one dict probe proves subsumption.
-        Miss: ordered ``states_equal`` scan over the stored states —
-        the boolean is an OR over the set, so the verdict is identical
-        to the scan-only implementation.  Either way the matched entry
-        is freshened; a genuinely new state is stored (copy-on-write
-        snapshot) and the least-recently-useful entry evicted beyond
-        ``cap``.
+        An ordered ``states_equal`` scan over the stored states; the
+        matched entry is freshened.  A genuinely new state is stored
+        (copy-on-write snapshot) and the least-recently-useful entry
+        evicted beyond ``cap``.
         """
         seen = index.get(state.insn_idx)
         if seen is None:
-            seen = index[state.insn_idx] = OrderedDict()
-        key = state_fingerprint(state)
+            seen = index[state.insn_idx] = []
         flight = self.flight
         profiler = self.profiler
-        if key in seen:
-            seen.move_to_end(key)
-            self.prune_exact_hits += 1
-            if flight is not None:
-                flight.prune(state.insn_idx, point, "exact-hit")
-            if profiler is not None:
-                profiler.ops[f"{point}.exact-hit"] += 1
-            return True
-        for old_key, old in seen.items():
+        for pos, old in enumerate(seen):
             if states_equal(old, state):
-                seen.move_to_end(old_key)
+                seen.append(seen.pop(pos))
                 self.prune_scan_hits += 1
                 if flight is not None:
                     flight.prune(state.insn_idx, point, "scan-hit")
@@ -431,9 +326,9 @@ class VerifierEnv:
             flight.prune(state.insn_idx, point, "miss")
         if profiler is not None:
             profiler.ops[f"{point}.miss"] += 1
-        seen[key] = state.clone()
+        seen.append(state.clone())
         if len(seen) > cap:
-            seen.popitem(last=False)
+            del seen[0]
             self.prune_evictions += 1
         return False
 

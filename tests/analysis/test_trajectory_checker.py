@@ -24,11 +24,14 @@ def write_bench(path: Path, programs_per_sec: float,
                 flight_overhead: float | None = None,
                 profile_overhead: float | None = None,
                 repair_overhead: float | None = None,
-                repair_rate: float | None = None) -> str:
+                repair_rate: float | None = None,
+                caches: dict | None = None) -> str:
     payload = {
         "parallel": {"programs_per_sec": programs_per_sec},
         "serial": {"programs_per_sec": programs_per_sec / 2},
     }
+    if caches is not None:
+        payload["caches"] = caches
     if flight_overhead is not None:
         payload["flight_recorder"] = {
             "disabled_overhead": flight_overhead,
@@ -195,3 +198,31 @@ def test_repair_rate_zero_previous_skips(checker, tmp_path):
     cur = write_bench(tmp_path / "cur.json", 100.0,
                       repair_overhead=0.0, repair_rate=0.0)
     assert checker.main(["--previous", prev, "--current", cur]) == 0
+
+
+CACHES = {"tnum_memo_hit_rate": 0.8, "prune_index_hit_rate": 0.05}
+
+
+def test_retired_cache_rate_not_gated(checker, tmp_path, capsys):
+    prev = write_bench(tmp_path / "prev.json", 100.0, caches={
+        **CACHES, "verdict_hit_rate": 0.01, "prune_exact_fraction": 0.7})
+    cur = write_bench(tmp_path / "cur.json", 100.0, caches=CACHES)
+    assert checker.main(["--previous", prev, "--current", cur]) == 0
+    out = capsys.readouterr().out
+    assert "verdict_hit_rate retired" in out
+    assert "prune_exact_fraction retired" in out
+
+
+def test_defined_cache_rate_missing_fails(checker, tmp_path):
+    assert set(CACHES) == set(checker.DEFINED_RATES)
+    prev = write_bench(tmp_path / "prev.json", 100.0, caches=CACHES)
+    cur = write_bench(tmp_path / "cur.json", 100.0,
+                      caches={"tnum_memo_hit_rate": 0.8})
+    assert checker.main(["--previous", prev, "--current", cur]) == 1
+
+
+def test_cache_rate_large_drop_fails(checker, tmp_path):
+    prev = write_bench(tmp_path / "prev.json", 100.0, caches=CACHES)
+    cur = write_bench(tmp_path / "cur.json", 100.0,
+                      caches={**CACHES, "tnum_memo_hit_rate": 0.4})
+    assert checker.main(["--previous", prev, "--current", cur]) == 1

@@ -10,17 +10,19 @@ from repro.ebpf import asm
 from repro.ebpf.maps import MapType
 from repro.ebpf.opcodes import Reg
 from repro.ebpf.program import BpfProgram, ProgType
+from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.corpus import Corpus, MapSpec, specs_of
 from repro.fuzz.coverage import CoverageReentryError, VerifierCoverage
 from repro.fuzz.rng import FuzzRng
 from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
 
 
-def dummy_gp(kernel=None, n_maps=1):
+def dummy_gp(kernel=None, n_maps=1, value_size=8, has_spin_lock=False):
     kernel = kernel or Kernel(PROFILES["patched"]())
     maps = []
     for _ in range(n_maps):
-        fd = kernel.map_create(MapType.HASH, 8, 8, 4)
+        fd = kernel.map_create(MapType.HASH, 8, value_size, 4,
+                               has_spin_lock=has_spin_lock)
         maps.append(kernel.map_by_fd(fd))
     return GeneratedProgram(
         insns=[asm.mov64_imm(Reg.R0, 0), asm.exit_insn()],
@@ -57,6 +59,15 @@ class TestCorpus:
         gp = dummy_gp(n_maps=2)
         specs = specs_of(gp)
         assert specs == (MapSpec(MapType.HASH, 8, 8, 4),) * 2
+
+    def test_locked_entry_recreates_locked_map(self):
+        gp = dummy_gp(value_size=16, has_spin_lock=True)
+        assert specs_of(gp) == (MapSpec(MapType.HASH, 8, 16, 4, True),)
+        campaign = Campaign(CampaignConfig(tool="bvf", mutate_rate=1.0))
+        campaign.corpus.add(gp, new_edges=1)
+        mutated = campaign._next_program(Kernel(PROFILES["patched"]()))
+        assert mutated.origin == "bvf-mut"
+        assert [m.has_spin_lock for m in mutated.maps] == [True]
 
 
 class TestCoverage:

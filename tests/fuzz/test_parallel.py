@@ -6,16 +6,22 @@ from collections import Counter
 
 import pytest
 
+from repro.ebpf.maps import MapType
+from repro.ebpf.program import ProgType
 from repro.fuzz.campaign import CampaignConfig
 from repro.fuzz.corpus import MapSpec
 from repro.fuzz.oracle import BugFinding
 from repro.fuzz.parallel import (
     ParallelCampaign,
     ShardResult,
+    _strip_finding,
     merge_shards,
     shard_budgets,
 )
 from repro.fuzz.rng import FuzzRng, derive_seed
+from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
+from repro.kernel.config import PROFILES
+from repro.kernel.syscall import Kernel, replay_kernel
 
 
 def finding(bug_id: str, iteration: int) -> BugFinding:
@@ -213,6 +219,19 @@ class TestParallelCampaign:
             if finding_.prog is not None:
                 for spec in finding_.prog.maps:
                     assert isinstance(spec, MapSpec)
+
+    def test_stripped_finding_replays_with_spin_lock(self):
+        config = PROFILES["bpf-next"]()
+        kernel = Kernel(config)
+        fd = kernel.map_create(MapType.HASH, 8, 16, 4, has_spin_lock=True)
+        stripped = _strip_finding(BugFinding(
+            bug_id="b", indicator="indicator1", report_kind="test",
+            message="m", prog=GeneratedProgram(
+                insns=[], prog_type=ProgType.KPROBE,
+                maps=[kernel.map_by_fd(fd)], plan=ExecutionPlan()),
+        ))
+        assert stripped.prog.maps == [MapSpec(MapType.HASH, 8, 16, 4, True)]
+        assert replay_kernel(config, stripped.prog).map_by_fd(fd).has_spin_lock
 
     def test_timing_populated(self, parallel):
         assert parallel.wall_seconds > 0

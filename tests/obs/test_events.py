@@ -1,7 +1,5 @@
 """Flight recorder unit tests: ring buffer, levels, null sink."""
 
-import pytest
-
 from repro import obs
 from repro.obs.events import (
     DEFAULT_CAPACITY,
@@ -120,14 +118,6 @@ class TestObsHolder:
             obs.restore(token)
         assert obs.flight() is NULL_FLIGHT
 
-    def test_restore_tolerates_legacy_two_tuple_token(self):
-        fr = FlightRecorder()
-        obs.install(obs.metrics(), obs.recorder(), fr)
-        # Tokens minted before the flight slot existed are two-tuples;
-        # restoring one must still clear the flight slot.
-        obs.restore((obs.metrics(), obs.recorder()))
-        assert obs.flight() is NULL_FLIGHT
-
 
 class TestVerifierIntegration:
     def _verify(self, recorder, sanitize=False):
@@ -170,15 +160,3 @@ class TestVerifierIntegration:
         steps = [e for e in fr.snapshot() if e["kind"] == "step"]
         assert steps
         assert all("regs" not in s for s in steps)
-
-
-@pytest.mark.parametrize("kind", ["verdict_cache_off"])
-def test_flight_disables_verdict_cache(kind):
-    # A cached verdict skips do_check, which would leave the ring
-    # holding a previous program's decisions — recording must win.
-    from repro.fuzz.campaign import Campaign, CampaignConfig
-
-    recording = Campaign(CampaignConfig(budget=1, flight=True))
-    plain = Campaign(CampaignConfig(budget=1, flight=False))
-    assert recording.verdicts is None
-    assert plain.verdicts is not None

@@ -155,10 +155,6 @@ class TestCampaignIntegration:
         result = Campaign(CampaignConfig(budget=5, seed=0)).run()
         assert result.profile == {}
 
-    def test_profiling_disables_verdict_cache(self):
-        assert Campaign(CampaignConfig(profile=True)).verdicts is None
-        assert Campaign(CampaignConfig()).verdicts is not None
-
     def test_self_times_cover_verify_wall(self, profiled_result):
         # The acceptance floor: per-family self times must account for
         # >=95% of the measured verify phase wall (telescoping makes

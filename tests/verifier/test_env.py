@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.verifier.env import (
+    LOOP_CAP,
+    PRUNE_CAP,
     FuncFrame,
     VerifierEnv,
     VerifierState,
@@ -118,6 +120,51 @@ class TestEnv:
         b.insn_idx = 7
         assert not env.is_visited(a)
         assert not env.is_visited(b)
+
+    def test_scan_hit_counted(self):
+        env = self._env()
+        old = fresh_state()
+        old.regs[2] = RegState.unknown_scalar()
+        assert not env.is_visited(old)
+        new = fresh_state()
+        new.regs[2] = RegState.const_scalar(5)
+        assert env.is_visited(new)
+        assert (env.prune_scan_hits, env.prune_misses) == (1, 1)
+
+    @staticmethod
+    def _distinct(i: int) -> VerifierState:
+        """States no other ``_distinct(j)`` subsumes."""
+        state = fresh_state()
+        state.regs[2] = RegState.const_scalar(i)
+        return state
+
+    @pytest.mark.parametrize("seen, cap, explored", [
+        ("is_visited", PRUNE_CAP, "explored"),
+        ("loop_header_seen", LOOP_CAP, "loop_explored"),
+    ])
+    def test_eviction_drops_least_recent(self, seen, cap, explored):
+        env = self._env()
+        check = getattr(env, seen)
+        for i in range(cap + 1):
+            assert not check(self._distinct(i))
+        assert env.prune_evictions == 1
+        assert len(getattr(env, explored)[0]) == cap
+        assert check(self._distinct(cap))
+        # The first state was evicted: seeing it again is a miss.
+        assert not check(self._distinct(0))
+        assert env.prune_evictions == 2
+
+    def test_hit_freshens_entry(self):
+        env = self._env()
+        for i in range(PRUNE_CAP):
+            assert not env.is_visited(self._distinct(i))
+        # A hit on the oldest state makes it the most recent, so the
+        # next store evicts the second-oldest instead.
+        assert env.is_visited(self._distinct(0))
+        assert not env.is_visited(self._distinct(PRUNE_CAP))
+        assert env.prune_evictions == 1
+        assert env.is_visited(self._distinct(0))
+        assert not env.is_visited(self._distinct(1))
 
     def test_id_allocator_monotonic(self):
         env = self._env()
