@@ -37,23 +37,12 @@ largely hardware-independent:
   cache and is reported as retired, while a defined rate missing from
   the current artifact fails.
 
-Three more gates need only the **current** artifact, because the
-benchmark already measured each against a same-process baseline (a
-CPU ratio, not an absolute):
-
-- the flight recorder's disabled-mode overhead (from
-  ``test_disabled_overhead[flight_recorder]``) must stay within
-  ``--max-flight-overhead`` — the ISSUE-8 contract that the decision
-  log costs nothing when off;
-- the hierarchical profiler's disabled-mode overhead (from
-  ``test_disabled_overhead[profiler]``) must stay within
-  ``--max-profile-overhead`` — the ISSUE-9 contract that the campaign
-  analytics layer costs nothing when off;
-- the repair synthesizer's disabled-mode overhead (from
-  ``test_disabled_overhead[repair_feedback]``) must stay within
-  ``--max-repair-overhead`` — the ISSUE-10 contract that the
-  rejection-repair layer costs nothing when ``--repair-feedback`` is
-  off.
+One more gate needs only the **current** artifact, because the
+benchmark already measured it against a same-process baseline (a CPU
+ratio, not an absolute): the cost of an installed do-nothing verifier
+observer (from ``test_observer_overhead``) must stay within
+``--max-observer-overhead`` — the contract that the verifier's event
+hooks cost nothing that matters until a subscriber does real work.
 
 One more trajectory rides on both artifacts: the overall
 ``repair_feedback.verified_rate`` (fraction of rejections whose
@@ -144,26 +133,24 @@ def check_cache_rates(previous: dict, current: dict,
     return ok
 
 
-def check_disabled_overhead(current: dict, section_name: str,
-                            label: str, max_overhead: float) -> bool:
-    """Gate a subsystem's disabled-mode overhead; True = pass.
+def check_observer_overhead(current: dict, max_overhead: float) -> bool:
+    """Gate the no-op observer's overhead; True = pass.
 
     Unlike the other gates this needs no previous artifact: the
     benchmark already computed the overhead against its own in-process
-    baseline, so the gate is absolute.  Used for the flight recorder
-    and the hierarchical profiler.
+    baseline, so the gate is absolute.
     """
-    section = current.get(section_name)
-    if not section or "disabled_overhead" not in section:
-        print(f"trajectory: {section_name} overhead missing from the "
-              f"current artifact; skipping that gate")
+    section = current.get("observer")
+    if not section or "overhead" not in section:
+        print("trajectory: observer overhead missing from the current "
+              "artifact; skipping that gate")
         return True
-    overhead = section["disabled_overhead"]
-    print(f"trajectory: {label} disabled overhead "
-          f"{overhead:+.3f} (allowed {max_overhead:.2f})")
+    overhead = section["overhead"]
+    print(f"trajectory: no-op observer overhead {overhead:+.3f} "
+          f"(allowed {max_overhead:.2f})")
     if overhead > max_overhead:
-        print(f"trajectory: FAIL - disabled {label} costs more "
-              f"than {max_overhead:.0%}")
+        print(f"trajectory: FAIL - an installed no-op observer costs "
+              f"more than {max_overhead:.0%}")
         return False
     return True
 
@@ -217,17 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-hit-rate-drop", type=float, default=0.25,
                         help="maximum tolerated drop of any cache hit "
                              "rate, in absolute points (default 0.25)")
-    parser.add_argument("--max-flight-overhead", type=float, default=0.05,
-                        help="maximum tolerated disabled-mode flight "
-                             "recorder overhead, as a fraction of "
-                             "baseline throughput (default 0.05)")
-    parser.add_argument("--max-profile-overhead", type=float, default=0.05,
-                        help="maximum tolerated disabled-mode profiler "
-                             "overhead, as a fraction of baseline "
-                             "throughput (default 0.05)")
-    parser.add_argument("--max-repair-overhead", type=float, default=0.05,
-                        help="maximum tolerated disabled-mode repair "
-                             "synthesizer overhead, as a fraction of "
+    parser.add_argument("--max-observer-overhead", type=float,
+                        default=0.05,
+                        help="maximum tolerated overhead of an installed "
+                             "no-op verifier observer, as a fraction of "
                              "baseline throughput (default 0.05)")
     parser.add_argument("--max-repair-rate-drop", type=float, default=0.20,
                         help="maximum tolerated relative drop of the "
@@ -240,16 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trajectory: current artifact unreadable: {exc}")
         return 1
 
-    if not check_disabled_overhead(current_payload, "flight_recorder",
-                                   "flight recorder",
-                                   args.max_flight_overhead):
-        return 1
-    if not check_disabled_overhead(current_payload, "profiler",
-                                   "profiler", args.max_profile_overhead):
-        return 1
-    if not check_disabled_overhead(current_payload, "repair_feedback",
-                                   "repair synthesizer",
-                                   args.max_repair_overhead):
+    if not check_observer_overhead(current_payload,
+                                   args.max_observer_overhead):
         return 1
 
     try:

@@ -14,22 +14,24 @@ can archive the trajectory across PRs.  Knobs:
 - ``BVF_BENCH_WORKERS``  — parallel worker count (default 4);
 - ``BVF_BENCH_MIN_SPEEDUP`` — required parallel speedup; defaults to
   2.0 on machines with >= 4 CPUs and is skipped (0) on smaller boxes,
-  where fork-per-shard overhead cannot be amortised.
+  where fork-per-shard overhead cannot be amortised;
+- ``BVF_BENCH_OBSERVER_BUDGET`` — the most an installed no-op verifier
+  observer may cost, as a fraction of throughput (default 0.05).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import pytest
 
+from repro import obs
 from repro.analysis.stats import ThroughputStats
-from repro.fuzz.campaign import CampaignConfig
+from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.parallel import ParallelCampaign
+from repro.obs.events import Observer
 from repro.obs.metrics import cache_hit_rates
 
 BUDGET = int(os.environ.get("BVF_BENCH_BUDGET", "300"))
@@ -44,30 +46,11 @@ CONFIG = CampaignConfig(
     tool="bvf", kernel_version="bpf-next", budget=BUDGET, seed=0
 )
 
-#: Disabled-mode budget for the VStateChecker: leaving the flag off may
-#: cost at most this fraction of throughput versus an identical run.
-INVARIANT_OVERHEAD_BUDGET = float(
-    os.environ.get("BVF_BENCH_INVARIANT_BUDGET", "0.05")
-)
-
-#: Disabled-mode budget for the flight recorder (ISSUE 8: the decision
-#: log must stay within 5% of baseline when the flag is off).
-FLIGHT_OVERHEAD_BUDGET = float(
-    os.environ.get("BVF_BENCH_FLIGHT_BUDGET", "0.05")
-)
-
-#: Disabled-mode budget for the hierarchical profiler (ISSUE 9: the
-#: analytics layer must stay within 5% of baseline when the flag is
-#: off).
-PROFILE_OVERHEAD_BUDGET = float(
-    os.environ.get("BVF_BENCH_PROFILE_BUDGET", "0.05")
-)
-
-#: Disabled-mode budget for the repair synthesizer (ISSUE 10: the
-#: rejection-repair layer must stay within 5% of baseline when
-#: ``--repair-feedback`` is off).
-REPAIR_OVERHEAD_BUDGET = float(
-    os.environ.get("BVF_BENCH_REPAIR_BUDGET", "0.05")
+#: Budget for an installed do-nothing verifier observer: the event
+#: hooks may cost at most this fraction of throughput versus no
+#: observer at all.
+OBSERVER_OVERHEAD_BUDGET = float(
+    os.environ.get("BVF_BENCH_OBSERVER_BUDGET", "0.05")
 )
 
 #: Where the flight-events sample trace lands (CI archives it next to
@@ -87,16 +70,6 @@ def _load_payload() -> dict:
         except ValueError:
             pass
     return {}
-
-
-def _cache_rates(metrics: dict) -> dict:
-    """Hit rates of the verifier fast-path caches, from one snapshot.
-
-    Delegates to :func:`repro.obs.metrics.cache_hit_rates` so the
-    benchmark, the ``repro report`` dashboard, and campaign heartbeats
-    always agree on the definition of each rate.
-    """
-    return cache_hit_rates(metrics.get("counters", {}))
 
 
 def test_parallel_throughput():
@@ -131,7 +104,7 @@ def test_parallel_throughput():
         # the process-global tnum memo numbers are self-contained).
         # check_throughput_trajectory.py gates these and the serial
         # verify_fraction across CI runs.
-        "caches": _cache_rates(serial.metrics),
+        "caches": cache_hit_rates(serial.metrics.get("counters", {})),
         # Rejection-reason distribution for the drift gate
         # (benchmarks/check_taxonomy_drift.py).  Deterministic for a
         # fixed (seed, budget, shards), so any change between CI runs
@@ -161,13 +134,13 @@ def test_parallel_throughput():
         )
 
 
-def _write_profile(result, section: dict) -> None:
+def _write_profile(result) -> None:
     """Profiler side output: the enabled run's profile snapshot.
 
-    Campaigns are seed-deterministic, so every measured round's
-    snapshot carries the same exact counts; the wall half is this
-    host's timings for the last round.  The metrics schema tag makes
-    the file renderable offline via ``repro profile``.
+    Campaigns are seed-deterministic, so the snapshot's exact counts
+    are the same on every host; the wall half is this host's timings.
+    The metrics schema tag makes the file renderable offline via
+    ``repro profile``.
     """
     from repro.obs.artifact import SCHEMA
     from repro.obs.profile import render_profile
@@ -182,22 +155,24 @@ def _write_profile(result, section: dict) -> None:
     print(render_profile(result.profile, top=5))
 
 
-def _score_repairs(result, section: dict) -> None:
+def _score_repairs(result) -> dict:
     """Repair side output: per-reason verified-repair rates.
 
-    They land under ``repair_feedback.by_reason``;
+    They land under ``repair_feedback``;
     ``check_throughput_trajectory.py --max-repair-rate-drop`` fails CI
     when the overall verified rate collapses relative to the previous
     run — the earliest symptom of a patch template or provenance-pass
-    regression, since campaigns are seed-deterministic (every measured
-    round found the same repairs; the last is scored).
+    regression, since campaigns are seed-deterministic.
     """
     attempted = sum(result.repairs_attempted.values())
     verified = sum(result.repairs_verified.values())
-    section.update({
+    print(f"verified repairs: {verified}/{attempted} "
+          f"({verified / attempted if attempted else 0.0:.1%})")
+    assert attempted > 0, "benchmark campaign produced no rejections"
+    return {
         "attempted": attempted,
         "verified": verified,
-        "verified_rate": verified / attempted if attempted else 0.0,
+        "verified_rate": verified / attempted,
         "by_reason": {
             reason: {
                 "attempted": result.repairs_attempted[reason],
@@ -209,120 +184,112 @@ def _score_repairs(result, section: dict) -> None:
             }
             for reason in sorted(result.repairs_attempted)
         },
-    })
-    print(f"verified repairs: {verified}/{attempted} "
-          f"({verified / attempted if attempted else 0.0:.1%})")
-    assert attempted > 0, "benchmark campaign produced no rejections"
+    }
 
 
-@dataclass(frozen=True)
-class OverheadBench:
-    """One opt-in subsystem whose disabled mode must cost nothing."""
+class _NoopObservedCampaign(Campaign):
+    """A campaign whose loads run under an installed do-nothing
+    observer: every verifier hook calls through, nothing is kept."""
 
-    #: ``BENCH_throughput.json`` section (the trajectory gate reads it)
-    section: str
-    #: the :class:`CampaignConfig` flag that turns the subsystem on
-    flag: str
-    title: str
-    budget: float
-    #: side output from the last measured enabled-mode campaign
-    side_output: Callable[[object, dict], None] | None = None
+    _NOOP = Observer()
 
-
-OVERHEAD_BENCHES = (
-    OverheadBench("invariant_checker", "check_invariants",
-                  "VStateChecker", INVARIANT_OVERHEAD_BUDGET),
-    OverheadBench("flight_recorder", "flight", "flight-recorder",
-                  FLIGHT_OVERHEAD_BUDGET),
-    OverheadBench("profiler", "profile", "profiler",
-                  PROFILE_OVERHEAD_BUDGET, _write_profile),
-    OverheadBench("repair_feedback", "repair_feedback", "repair",
-                  REPAIR_OVERHEAD_BUDGET, _score_repairs),
-)
+    def _load(self, kernel, prog):
+        token = obs.install(obs.metrics(), obs.recorder(), self._NOOP)
+        try:
+            return super()._load(kernel, prog)
+        finally:
+            obs.restore(token)
 
 
-@pytest.mark.parametrize("bench", OVERHEAD_BENCHES,
-                         ids=[bench.section for bench in OVERHEAD_BENCHES])
-def test_disabled_overhead(bench):
-    """An opt-in subsystem's cost: disabled mode must stay within budget.
+#: ``BENCH_throughput.json`` subscriber name -> the CampaignConfig flag
+#: that turns that subscriber on
+SUBSCRIBERS = {
+    "invariant_checker": "check_invariants",
+    "flight_recorder": "flight",
+    "profiler": "profile",
+    "repair_feedback": "repair_feedback",
+}
 
-    Each subsystem (VStateChecker, flight recorder, profiler, repair
-    synthesizer) is off by default, and its hooks then pay one
-    ``is not None`` / ``.enabled`` / boolean test each.  Three modes run
-    the same seeded campaign: ``baseline`` (flags defaulted),
-    ``disabled`` (the flag explicitly ``False``) and ``enabled``.
-    Baseline and disabled are the same configuration, so
-    ``disabled_overhead`` measures run-to-run noise; the gate (checked
-    here *and* by ``check_throughput_trajectory.py``) still catches a
-    hot path that stops being free.  Enabled-mode cost is recorded for
-    trend tracking but not gated — opt-in diagnostics may cost what
-    they cost.
+
+def test_observer_overhead():
+    """What the verifier's event hooks cost, gated; what each real
+    subscriber costs, recorded.
+
+    Two modes run the same seeded campaign: ``baseline`` (no observer:
+    every hook site is one ``is not None`` test) and ``noop`` (a
+    do-nothing :class:`~repro.obs.events.Observer` installed, so every
+    hook calls through).  Their difference is the price of the hooks
+    themselves, and is gated at ``OBSERVER_OVERHEAD_BUDGET`` (here
+    *and* by ``check_throughput_trajectory.py --max-observer-overhead``).
+    Then one campaign per real subscriber (checker, flight recorder,
+    profiler, repair feedback) records its enabled overhead, ungated —
+    opt-in diagnostics may cost what they cost — and the profiler and
+    repair runs write their side outputs.
 
     Methodology: one **warm-up** campaign per mode first — the first
     campaigns of a process pay one-off costs (coverage-tracer build and
     attach, cold tnum memo, lazy imports) that would otherwise be
     attributed to whichever mode ran first — then 3 interleaved rounds
-    (so a slow stretch of the host penalises all modes equally), scored
+    (so a slow stretch of the host penalises both modes equally), scored
     by the **median** round, which a single descheduled outlier cannot
     drag the way best-of or mean-of can.
     """
     from statistics import median
 
-    from repro.fuzz.campaign import Campaign
-
-    enabled_results: list = []
-
-    def run_pps(**flags) -> float:
+    def run(campaign_class=Campaign, **flags):
         config = CampaignConfig(
             tool="bvf", kernel_version="bpf-next", budget=BUDGET,
             seed=0, **flags
         )
-        result = Campaign(config).run()
-        if flags.get(bench.flag):
-            enabled_results.append(result)
-        return ThroughputStats.from_result(result).programs_per_sec
+        result = campaign_class(config).run()
+        return result, ThroughputStats.from_result(result).programs_per_sec
 
-    modes = {
-        "baseline": {},
-        "disabled": {bench.flag: False},
-        "enabled": {bench.flag: True},
-    }
-    for flags in modes.values():  # warm-up, discarded
-        run_pps(**flags)
-    enabled_results.clear()  # keep only measured-round results
+    modes = {"baseline": Campaign, "noop": _NoopObservedCampaign}
+    for campaign_class in modes.values():  # warm-up, discarded
+        run(campaign_class)
     rounds: dict[str, list[float]] = {mode: [] for mode in modes}
     for _ in range(3):
-        for mode, flags in modes.items():
-            rounds[mode].append(run_pps(**flags))
-    samples = {mode: median(values) for mode, values in rounds.items()}
+        for mode, campaign_class in modes.items():
+            rounds[mode].append(run(campaign_class)[1])
+    baseline = median(rounds["baseline"])
+    noop = median(rounds["noop"])
+    overhead = 1.0 - noop / baseline
 
-    disabled_overhead = 1.0 - samples["disabled"] / samples["baseline"]
-    enabled_overhead = 1.0 - samples["enabled"] / samples["baseline"]
-
-    section = {
-        "budget": BUDGET,
-        "baseline_programs_per_sec": round(samples["baseline"], 2),
-        "disabled_programs_per_sec": round(samples["disabled"], 2),
-        "enabled_programs_per_sec": round(samples["enabled"], 2),
-        "disabled_overhead": round(disabled_overhead, 4),
-        "enabled_overhead": round(enabled_overhead, 4),
-        "disabled_overhead_budget": bench.budget,
-    }
-    print(f"\n=== {bench.title} overhead (serial) ===")
-    for mode in ("baseline", "disabled", "enabled"):
-        print(f"{mode:>9}: {samples[mode]:8.1f} programs/sec")
-    print(f"disabled overhead: {disabled_overhead:+.1%} "
-          f"(budget {bench.budget:.0%}); "
-          f"enabled overhead: {enabled_overhead:+.1%}")
-    if bench.side_output is not None:
-        bench.side_output(enabled_results[-1], section)
     payload = _load_payload()
-    payload[bench.section] = section
+    enabled = {}
+    for name, flag in SUBSCRIBERS.items():
+        result, pps = run(**{flag: True})
+        enabled[name] = {
+            "programs_per_sec": round(pps, 2),
+            "overhead": round(1.0 - pps / baseline, 4),
+        }
+        if flag == "profile":
+            _write_profile(result)
+        elif flag == "repair_feedback":
+            payload["repair_feedback"] = _score_repairs(result)
+
+    payload["observer"] = {
+        "budget": BUDGET,
+        "baseline_programs_per_sec": round(baseline, 2),
+        "noop_programs_per_sec": round(noop, 2),
+        "overhead": round(overhead, 4),
+        "overhead_budget": OBSERVER_OVERHEAD_BUDGET,
+        "enabled": enabled,
+    }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    assert disabled_overhead <= bench.budget, (
-        f"disabled-mode {bench.title} overhead {disabled_overhead:.1%} "
-        f"exceeds the {bench.budget:.0%} budget"
+    print("\n=== verifier observer overhead (serial) ===")
+    print(f" baseline: {baseline:8.1f} programs/sec")
+    print(f"     noop: {noop:8.1f} programs/sec")
+    print(f"no-op observer overhead: {overhead:+.1%} "
+          f"(budget {OBSERVER_OVERHEAD_BUDGET:.0%})")
+    for name, entry in enabled.items():
+        print(f"{name:>17}: {entry['programs_per_sec']:8.1f} programs/sec "
+              f"({entry['overhead']:+.1%}, not gated)")
+
+    assert overhead <= OBSERVER_OVERHEAD_BUDGET, (
+        f"an installed no-op observer costs {overhead:.1%}, over the "
+        f"{OBSERVER_OVERHEAD_BUDGET:.0%} budget"
     )
 
 
@@ -343,7 +310,7 @@ def test_coverage_backend_comparison():
       shows which backend CI actually exercised and what the faster
       default buys.
 
-    Methodology mirrors :func:`test_disabled_overhead`: a fixed
+    Methodology mirrors :func:`test_observer_overhead`: a fixed
     pre-generated program batch, one warm-up pass per backend, then the
     median of 3 interleaved rounds.  The speed assertion (monitoring >= 0.9x
     settrace) only applies when monitoring exists (3.12+); it is a
@@ -460,8 +427,6 @@ def test_flight_events_artifact():
     outcome — so the events artifact uploaded by the bench job is
     never silently empty.
     """
-    from repro.fuzz.campaign import Campaign
-
     config = CampaignConfig(
         tool="bvf", kernel_version="bpf-next",
         budget=min(BUDGET, 60), seed=0,

@@ -236,7 +236,7 @@ class Campaign:
         # registry and recorder; a bare default keeps _iteration usable
         # standalone (tests drive it directly).
         self._clock = obs.PhaseClock()
-        self._flight = obs.NULL_FLIGHT
+        self._flight = None
         self._profiler = None
         self._frontier = None
 
@@ -247,12 +247,12 @@ class Campaign:
         result = CampaignResult(config=self.config)
         sampled_edges: set[int] = set()
 
-        # Per-shard observability sinks: this campaign's registry and
-        # recorder become the process-current ones for the duration of
-        # the run, so the verifier/generator/oracle instrumentation
-        # lands in *this* shard's snapshot.  The clock is the single
-        # phase timer — every phase duration is accumulated exactly
-        # once, in its context manager's exit.
+        # Per-shard observability sinks: this campaign's registry,
+        # recorder and verifier observer become the process-current
+        # ones for the duration of the run, so the verifier/generator/
+        # oracle instrumentation lands in *this* shard's snapshot.  The
+        # clock is the single phase timer — every phase duration is
+        # accumulated exactly once, in its context manager's exit.
         registry = obs.MetricsRegistry()
         recorder = (
             obs.JsonlTraceRecorder(self.config.trace_path)
@@ -262,11 +262,19 @@ class Campaign:
         flight = (
             obs.FlightRecorder()
             if self.config.flight or self.config.repair_feedback
-            else obs.NULL_FLIGHT
+            else None
         )
         self._flight = flight
         profiler = obs.VerifierProfiler() if self.config.profile else None
         self._profiler = profiler
+        # The abstract-state checker is added per primary load by
+        # prog_load(check_invariants=...), not here, so triage and
+        # repair re-verifications stay unchecked.
+        observer = obs.compose(
+            flight,
+            profiler,
+            obs.VerifierTrace(recorder) if recorder.enabled else None,
+        )
         frontier = (
             FrontierTracker(self.config.plateau_window)
             if self.config.collect_coverage
@@ -275,9 +283,7 @@ class Campaign:
         self._frontier = frontier
         clock = obs.PhaseClock(metrics=registry, recorder=recorder)
         self._clock = clock
-        token = obs.install(registry, recorder,
-                            flight if flight.enabled else None,
-                            profiler)
+        token = obs.install(registry, recorder, observer)
         # The tnum memo LRUs are process-global (shards in one process
         # share warm entries), so this shard's contribution is a delta.
         tnum_before = tnum_memo_stats()
@@ -342,7 +348,7 @@ class Campaign:
         finally:
             obs.restore(token)
             recorder.close()
-            self._flight = obs.NULL_FLIGHT
+            self._flight = None
             self._profiler = None
             self._frontier = None
         tnum_after = tnum_memo_stats()
@@ -471,7 +477,7 @@ class Campaign:
         if rec.enabled:
             rec.event("campaign.reject", errno=errno, reason=reason,
                       message=message)
-        if self._flight.enabled:
+        if self._flight is not None:
             self._explain_reject(result, errno, message, reason,
                                  gp, iteration)
         if (

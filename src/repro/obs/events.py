@@ -1,47 +1,46 @@
-"""Flight recorder: a bounded ring of typed verifier decision events.
+"""The verifier's event stream, its subscribers, and the flight recorder.
 
-The verifier makes thousands of micro-decisions per program — which
-instruction it is simulating, whether a state pruned, what a
-conditional branch refined a register's bounds to, which sanitation
-patch it scheduled — and the final verdict is a lossy summary of all
-of them.  The flight recorder keeps the **last N** of those decisions
-in a :class:`collections.deque` ring buffer, one ring per verification
-(``begin`` resets it), so that when a verification ends "interestingly"
-(reject, invariant violation, divergence) the campaign layer can spill
-the tail of the decision history into the JSONL trace stream and the
-rejection explainer (:mod:`repro.obs.explain`) can reconstruct *why*.
+The verifier reports its decisions, stage marks and checkpoints to
+**one optional observer**: ``Verifier.observer`` is ``None`` when
+nothing subscribes (each hook site then pays one ``is not None``
+test), the subscriber itself when one is on, and a :class:`FanOut`
+only when two or more are.  :func:`compose` builds that value and
+``repro.obs.install`` makes it process-current.  Payloads are raw
+values — registers, instructions, op enums, protos — so a subscriber
+renders only what it keeps, and one that ignores an event pays only
+the call.  The events (:data:`EVENTS`), in emission order:
 
-Design constraints, in order:
+- ``begin(program, n_insns)`` — a verification starts;
+- ``enter(stage)`` / ``leave(stage)`` — pipeline stage marks:
+  ``structure``, ``resolve``, ``do_check``, ``fixup`` and, inside
+  ``fixup``, ``sanitize.instrument``;
+- ``step(idx, insn, state)`` — ``do_check`` reached an instruction;
+- ``checkpoint(site, idx, state)`` — the verifier commits to a state:
+  ``prune`` (before each prune-point decision), ``branch`` (each
+  surviving side of a fork), ``helper-return``, ``kfunc-return``;
+- ``prune(idx, point, outcome)`` — ``point`` ``prune`` | ``loop``,
+  ``outcome`` ``scan-hit`` | ``miss``;
+- ``branch(idx, insn, taken_dst, else_dst)`` — a conditional jump was
+  decided; the refined destination of each side when it forks, else
+  ``None``;
+- ``refine(idx, insn, dst)`` — scalar ALU produced ``dst``;
+- ``call(idx, proto)`` — a helper or kfunc call passed its checks;
+- ``patch(idx, kind, value)`` — ``probe_mem`` (``None``) or
+  ``alu_limit`` (``(limit, op)``) rewrite scheduled;
+- ``sanitize(sites, skipped_r10, n_insns)`` — sanitizer plan made;
+- ``verdict(verdict, errno, insn, message)`` — ``accept`` | ``reject``;
+- ``abort(exc)`` — ended by an exception that is not a verdict.
 
-- **Disabled must be free.**  The process-current default is
-  :data:`NULL_FLIGHT`, whose ``enabled`` is a class attribute
-  ``False``; hot paths guard every emission with one attribute read,
-  exactly like the trace recorder's ``rec.enabled`` gate.  The
-  benchmark suite holds this to the repo-wide <=5% disabled-overhead
-  budget (``benchmarks/test_throughput.py``).
-- **Events are deterministic.**  No wall-clock timestamps, no object
-  ids — a per-verification ``seq`` counter orders events, and register
-  values are rendered via their stable ``str`` form.  Identical
-  (program, kernel config, flags) therefore produce identical event
-  lists, which is what makes recorded explanations worker-count
-  invariant.
-- **Bounded.**  ``capacity`` caps memory per verification; the deque
-  silently drops the oldest events, which is the right bias — the
-  decisions *closest* to the verdict carry the explanation.
+Every ``begin`` is closed by exactly one ``verdict`` or ``abort``.
+Events are delivered positionally.
 
-Event kinds (each event is a plain dict with ``kind`` and ``seq``):
-
-- ``begin``   — ring reset; ``program``, ``insns``
-- ``step``    — ``do_check`` reached an instruction; ``insn``, and at
-  ``level >= 2`` the non-NOT_INIT registers (``regs``) and frame depth
-- ``prune``   — prune-point / loop-header decision; ``insn``, ``point``
-  (``prune`` | ``loop``), ``outcome`` (``scan-hit`` | ``miss``)
-- ``refine``  — branch knowledge narrowed a register; ``insn``,
-  ``reg``, ``detail``
-- ``patch``   — sanitation rewrite scheduled; ``insn``, ``patch``
-  (``alu_limit`` | ``probe_mem``), ``detail``
-- ``verdict`` — terminal outcome; ``verdict`` (``accept`` |
-  ``reject``), ``errno``, ``insn``, ``message``, ``program``
+The **flight recorder** keeps the last N decisions as plain dicts in a
+ring reset per verification, so an interesting outcome (reject,
+invariant violation) can spill its decision history into the trace and
+:mod:`repro.obs.explain` can reconstruct *why*.  Records carry a
+per-verification ``seq`` and no timestamps, and registers render via
+their stable ``str`` form, so identical inputs record identical events
+— what makes explanations worker-count invariant.
 
 This module must stay dependency-free (stdlib only): it is imported by
 ``repro.obs.__init__``, which the verifier itself imports.
@@ -53,9 +52,11 @@ from collections import deque
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "EVENTS",
+    "FanOut",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
+    "Observer",
+    "compose",
     "reg_summary",
 ]
 
@@ -63,6 +64,66 @@ __all__ = [
 #: generated programs (tens of instructions) and the meaningful tail
 #: of pathological ones.
 DEFAULT_CAPACITY = 256
+
+
+#: the event names, in emission order
+EVENTS = (
+    "begin", "enter", "leave", "step", "checkpoint", "prune", "branch",
+    "refine", "call", "patch", "sanitize", "verdict", "abort",
+)
+
+
+def _ignore(self, *args) -> None:
+    pass
+
+
+class Observer:
+    """A verifier subscriber that ignores every event.
+
+    Subscribers derive from it and override the events they consume;
+    installed as is, it is the do-nothing subscriber the overhead
+    benchmark prices.
+    """
+
+
+for _name in EVENTS:
+    setattr(Observer, _name, _ignore)
+
+
+class FanOut:
+    """Delivers every event to each subscriber, in order."""
+
+    def __init__(self, subscribers) -> None:
+        self.subscribers = tuple(subscribers)
+        for name in EVENTS:
+            setattr(self, name, _broadcast(
+                tuple(getattr(sub, name) for sub in self.subscribers)
+            ))
+
+
+def _broadcast(handlers):
+    def emit(*args):
+        for handler in handlers:
+            handler(*args)
+
+    return emit
+
+
+def compose(*subscribers):
+    """The observer for ``subscribers``: ``None`` when there are none,
+    the subscriber itself when there is one, else a :class:`FanOut`.
+    ``None`` entries are skipped and nested fan-outs flattened."""
+    flat = []
+    for sub in subscribers:
+        if isinstance(sub, FanOut):
+            flat.extend(sub.subscribers)
+        elif sub is not None:
+            flat.append(sub)
+    if not flat:
+        return None
+    if len(flat) == 1:
+        return flat[0]
+    return FanOut(flat)
 
 
 def reg_summary(state) -> dict[str, str]:
@@ -79,74 +140,26 @@ def reg_summary(state) -> dict[str, str]:
     }
 
 
-class NullFlightRecorder:
-    """Disabled recorder: every emission is a no-op.
-
-    ``enabled``/``level`` are class attributes so the hot-path guard
-    (`fl.enabled`) costs one attribute read and no per-instance dict.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    level = 0
-
-    def begin(self, program, n_insns: int = 0) -> None:
-        pass
-
-    def step(self, idx, state) -> None:
-        pass
-
-    def prune(self, idx, point, outcome) -> None:
-        pass
-
-    def refine(self, idx, reg, detail) -> None:
-        pass
-
-    def patch(self, idx, kind, detail) -> None:
-        pass
-
-    def verdict(self, verdict, *, errno=None, insn=-1, message="") -> None:
-        pass
-
-    def snapshot(self) -> list:
-        return []
-
-
-NULL_FLIGHT = NullFlightRecorder()
-
-
-class FlightRecorder:
+class FlightRecorder(Observer):
     """Bounded per-verification decision log.
 
-    ``level`` is the verbosity knob: 1 records decisions (steps,
-    prunes, refinements, patches, verdicts) without register dumps;
-    2 additionally snapshots the abstract register file at every step
-    — what the explainer needs to show the offending state.
+    Record kinds: ``begin``, ``step`` (with the register file the
+    explainer shows), ``prune``, ``refine`` (ALU results and forks),
+    ``patch`` and ``verdict`` (DESIGN.md §5g has the fields).
     """
 
-    enabled = True
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, level: int = 2
-    ) -> None:
-        self.level = level
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
         self.program: str | None = None
-        self.n_insns = 0
-        #: verifications recorded since construction (diagnostics only)
-        self.programs_recorded = 0
 
     # -- lifecycle ----------------------------------------------------------
 
-    def begin(self, program, n_insns: int = 0) -> None:
+    def begin(self, program, n_insns=0) -> None:
         """Start a fresh verification: reset the ring and the sequence."""
         self._ring.clear()
         self._seq = 0
         self.program = program
-        self.n_insns = n_insns
-        self.programs_recorded += 1
         self._push({"kind": "begin", "program": program, "insns": n_insns})
 
     def _push(self, event: dict) -> None:
@@ -156,36 +169,39 @@ class FlightRecorder:
 
     # -- event kinds --------------------------------------------------------
 
-    def step(self, idx: int, state) -> None:
-        event: dict = {"kind": "step", "insn": idx}
-        if self.level >= 2:
-            event["regs"] = reg_summary(state)
-            event["frames"] = len(state.frames)
-        self._push(event)
+    def step(self, idx, insn, state) -> None:
+        self._push({"kind": "step", "insn": idx, "regs": reg_summary(state),
+                    "frames": len(state.frames)})
 
-    def prune(self, idx: int, point: str, outcome: str) -> None:
+    def prune(self, idx, point, outcome) -> None:
         self._push(
             {"kind": "prune", "insn": idx, "point": point, "outcome": outcome}
         )
 
-    def refine(self, idx: int, reg: str, detail: str) -> None:
+    def branch(self, idx, insn, taken_dst, else_dst) -> None:
+        if taken_dst is not None:
+            self._refine(idx, f"R{insn.dst}", f"{insn.jmp_op.name} "
+                         f"taken:{taken_dst} else:{else_dst}")
+
+    def refine(self, idx, insn, dst) -> None:
+        self._refine(idx, f"R{insn.dst}", f"{insn.alu_op.name} -> {dst}")
+
+    def _refine(self, idx: int, reg: str, detail: str) -> None:
         self._push(
             {"kind": "refine", "insn": idx, "reg": reg, "detail": detail}
         )
 
-    def patch(self, idx: int, kind: str, detail: str) -> None:
+    def patch(self, idx, kind, value) -> None:
+        if kind == "alu_limit":
+            limit, op = value
+            detail = f"limit={limit} op={op.name}"
+        else:
+            detail = "load rewritten as fault-handled PROBE_MEM"
         self._push(
             {"kind": "patch", "insn": idx, "patch": kind, "detail": detail}
         )
 
-    def verdict(
-        self,
-        verdict: str,
-        *,
-        errno: int | None = None,
-        insn: int = -1,
-        message: str = "",
-    ) -> None:
+    def verdict(self, verdict, errno=None, insn=-1, message="") -> None:
         self._push(
             {
                 "kind": "verdict",

@@ -15,7 +15,7 @@ Entry points:
 
 - :func:`explain_events` — pure function over a recorded event list
   (what the campaign layer uses at reject time);
-- :func:`explain_program` — verify one program with a level-2 recorder
+- :func:`explain_program` — verify one program with a flight recorder
   installed and explain the rejection (``None`` if accepted);
 - :func:`explain_selftest` / :func:`explain_iteration` — the
   ``repro explain`` CLI front ends: by selftest name, or by replaying
@@ -110,7 +110,7 @@ class Explanation:
     #: the verifier check family that fired
     check: str
     #: abstract register state at the failing instruction (last
-    #: level-2 ``step`` snapshot; empty for pre-``do_check`` rejects)
+    #: ``step`` snapshot; empty for pre-``do_check`` rejects)
     registers: dict[str, str] = field(default_factory=dict)
     #: the last decision events before the verdict, oldest first
     trail: list[dict] = field(default_factory=list)
@@ -231,7 +231,7 @@ def explain_events(
         insn_idx = 0
 
     # The offending abstract state: the last register snapshot recorded
-    # before the verdict (level-2 step events carry one).
+    # before the verdict (every step event carries one).
     registers: dict[str, str] = {}
     for event in reversed(events):
         if event.get("kind") == "step" and "regs" in event:
@@ -324,22 +324,20 @@ def _root_cause(insns, insn_idx: int, message: str) -> dict | None:
 def explain_program(
     kernel, prog, *, sanitize: bool = False, check_invariants: bool = False
 ) -> Explanation | None:
-    """Verify ``prog`` under a level-2 flight recorder and explain.
+    """Verify ``prog`` under a flight recorder and explain.
 
-    Returns ``None`` when the program is accepted.  The current
-    metrics/trace sinks are preserved — only the flight slot changes —
-    and restored on exit.
+    Returns ``None`` when the program is accepted.  The current sinks
+    are preserved — the recorder joins the current observer — and
+    restored on exit.
     """
     from repro import obs
     from repro.errors import BpfError, InvariantViolation, VerifierReject
     from repro.obs.events import FlightRecorder
     from repro.verifier.log import final_message
 
-    recorder = FlightRecorder(level=2)
-    # Preserve the metrics/trace/profiler sinks — only the flight slot
-    # changes for the duration of the explain.
-    token = obs.install(obs.metrics(), obs.recorder(), recorder,
-                        obs.profiler())
+    recorder = FlightRecorder()
+    token = obs.install(obs.metrics(), obs.recorder(),
+                        obs.compose(obs.observer(), recorder))
     try:
         kernel.prog_load(
             prog, sanitize=sanitize, check_invariants=check_invariants

@@ -25,10 +25,15 @@ which is why the campaign wraps the whole load path in one ``verify``
 root: per-family self times then account for (nearly) the entire
 measured verify phase.
 
-The disabled default is :data:`NULL_PROFILER`, a ``NullProfiler``
-following the ``NULL_FLIGHT`` pattern: instrumented components fetch
-``obs.profiler()`` once, keep ``None`` when disabled, and the hot-path
-cost is one ``is not None`` test.
+The profiler is a subscriber of the verifier's event stream
+(:mod:`repro.obs.events`).  Stage marks become frames; between two
+``step`` events the time belongs to one per-instruction leaf frame —
+the prune decision when a ``prune`` event arrives, else the
+instruction's check family — so consecutive leaves tile ``do_check``
+with no gaps.  The exact counters come from the same events: the
+instruction of a closed ``alu`` leaf, ``branch``, ``call``, ``prune``
+and ``sanitize``.  ``push``/``pop`` stay public for the campaign's
+``verify`` root frame.
 """
 
 from __future__ import annotations
@@ -36,89 +41,51 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from repro.ebpf.opcodes import InsnClass, JmpOp, Mode
+from repro.obs.events import Observer
+
 __all__ = [
-    "NullProfiler",
     "VerifierProfiler",
-    "NULL_PROFILER",
-    "frame_of",
     "merge_profiles",
     "strip_profile_wall",
     "render_profile",
 ]
 
 
-class _NullFrame:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_FRAME = _NullFrame()
-
-
-class NullProfiler:
-    """Profiling disabled: every operation is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
-    def frame(self, name: str):
-        return _NULL_FRAME
-
-    def snapshot(self) -> dict:
-        return {}
+def _family(insn) -> str:
+    """The check-family leaf frame one instruction's step runs under."""
+    cls = insn.insn_class
+    if cls in (InsnClass.ALU, InsnClass.ALU64):
+        return "alu"
+    if cls == InsnClass.LD:
+        return "ld_imm64"
+    if cls == InsnClass.LDX:
+        return "mem.load"
+    if cls == InsnClass.ST:
+        return "mem.store"
+    if cls == InsnClass.STX:
+        return "mem.atomic" if insn.mode == Mode.ATOMIC else "mem.store"
+    op = insn.jmp_op
+    if op == JmpOp.JA:
+        return "jump.ja"
+    if op == JmpOp.EXIT:
+        return "exit"
+    if op == JmpOp.CALL:
+        if insn.is_pseudo_call():
+            return "call.bpf2bpf"
+        if insn.is_kfunc_call():
+            return "call.kfunc"
+        return "call.helper"
+    return "jump.cond"
 
 
-NULL_PROFILER = NullProfiler()
-
-
-class _Frame:
-    """Context-manager form of push/pop (exception-safe by construction)."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "VerifierProfiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self):
-        self._profiler.push(self._name)
-        return self
-
-    def __exit__(self, *exc):
-        self._profiler.pop()
-        return False
-
-
-def frame_of(profiler, name: str):
-    """A frame context manager that is a shared no-op when disabled."""
-    if profiler is None or not profiler.enabled:
-        return _NULL_FRAME
-    return _Frame(profiler, name)
-
-
-class VerifierProfiler:
+class VerifierProfiler(Observer):
     """Path-keyed frame tree plus flat exact counters.
 
-    ``push``/``pop`` are the hot-loop form (no allocation beyond the
-    stack entry); ``frame`` wraps them for ``with`` blocks.  Counter
-    attributes (``alu_ops``/``jmp_ops``/``helpers``/``ops``) are
-    mutated directly by the instrumentation hooks — attribute access
-    plus one Counter update is the whole enabled cost per event.
+    ``push``/``pop`` are the frame primitives; the event handlers below
+    drive them.  Counter attributes (``alu_ops``/``jmp_ops``/
+    ``helpers``/``ops``) are plain Counters.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         #: frame path -> [hit count, cumulative seconds, self seconds]
@@ -133,6 +100,13 @@ class VerifierProfiler:
         self.ops: Counter = Counter()
         #: open frames: [path, started, child seconds]
         self._stack: list[list] = []
+        #: stack depth when the current verification began
+        self._base = 0
+        #: the open per-instruction leaf (None between leaves), the
+        #: instruction it belongs to, and when it started
+        self._leaf: str | None = None
+        self._insn = None
+        self._lap = 0.0
 
     def push(self, name: str) -> None:
         stack = self._stack
@@ -142,17 +116,93 @@ class VerifierProfiler:
     def pop(self) -> None:
         path, started, child_seconds = self._stack.pop()
         elapsed = time.perf_counter() - started
+        self._account(path, elapsed, elapsed - child_seconds)
+
+    def _account(self, path: str, elapsed: float, own: float) -> None:
         node = self.nodes.get(path)
         if node is None:
             node = self.nodes[path] = [0, 0.0, 0.0]
         node[0] += 1
         node[1] += elapsed
-        node[2] += elapsed - child_seconds
+        node[2] += own
         if self._stack:
             self._stack[-1][2] += elapsed
 
-    def frame(self, name: str) -> _Frame:
-        return _Frame(self, name)
+    def _close(self, name: str, now: float) -> None:
+        """Account the leaf ``name`` that ran from ``_lap`` to ``now``."""
+        stack = self._stack
+        path = f"{stack[-1][0]}/{name}" if stack else name
+        elapsed = now - self._lap
+        self._account(path, elapsed, elapsed)
+        if name == "alu":
+            insn = self._insn
+            width = "64" if insn.insn_class == InsnClass.ALU64 else "32"
+            self.alu_ops[f"{insn.alu_op.name}{width}"] += 1
+
+    def _close_leaf(self) -> None:
+        if self._leaf is not None:
+            self._close(self._leaf, time.perf_counter())
+            self._leaf = None
+
+    # -- events -------------------------------------------------------------
+
+    def begin(self, program, n_insns) -> None:
+        self._base = len(self._stack)
+
+    def enter(self, stage) -> None:
+        self._close_leaf()
+        self.push(stage)
+
+    def leave(self, stage) -> None:
+        self._close_leaf()
+        self.pop()
+
+    def step(self, idx, insn, state) -> None:
+        now = time.perf_counter()
+        if self._leaf is not None:
+            self._close(self._leaf, now)
+        self._leaf = _family(insn)
+        self._insn = insn
+        self._lap = now
+
+    def checkpoint(self, site, idx, state) -> None:
+        if site == "prune":
+            # A prune decision follows; until its event the time is
+            # the decision's, and an abort in between opens no leaf.
+            self._leaf = None
+
+    def prune(self, idx, point, outcome) -> None:
+        now = time.perf_counter()
+        self._close("prune", now)
+        self.ops[f"{point}.{outcome}"] += 1
+        # A scan hit either prunes the path or rejects an infinite
+        # loop: the instruction's step never runs.
+        self._leaf = None if outcome == "scan-hit" else _family(self._insn)
+        self._lap = now
+
+    def branch(self, idx, insn, taken_dst, else_dst) -> None:
+        suffix = "" if insn.insn_class == InsnClass.JMP else "32"
+        self.jmp_ops[f"{insn.jmp_op.name}{suffix}"] += 1
+
+    def call(self, idx, proto) -> None:
+        name = proto.name if hasattr(proto, "name") else f"kfunc#{proto.btf_id}"
+        self.helpers[name] += 1
+
+    def sanitize(self, sites, skipped_r10, n_insns) -> None:
+        self.ops["sanitizer.sites"] += sites
+        self.ops["sanitizer.skipped_r10"] += skipped_r10
+
+    def verdict(self, verdict, errno=None, insn=-1, message="") -> None:
+        self._unwind()
+
+    def abort(self, exc) -> None:
+        self._unwind()
+
+    def _unwind(self) -> None:
+        """Close the leaf and every frame the verification opened."""
+        self._close_leaf()
+        while len(self._stack) > self._base:
+            self.pop()
 
     def snapshot(self) -> dict:
         """Plain-dict form: exact counts and wall times segregated."""

@@ -22,6 +22,10 @@ Two recorders implement the same duck-typed interface:
   ``<path>.1`` (replacing any previous rotation) and a fresh file is
   started, so an unattended campaign cannot fill the disk unboundedly.
 
+:class:`VerifierTrace` is the verifier's side of tracing: a subscriber
+of the verifier's event stream (:mod:`repro.obs.events`) that turns it
+into the ``verifier.*`` spans and events.
+
 :class:`PhaseClock` is the single phase timer the campaign loop runs
 on.  Each ``with clock.phase("verify"):`` block accumulates its
 duration exactly once — in the ``finally`` of the context manager — no
@@ -39,10 +43,13 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
+from repro.obs.events import Observer
+
 __all__ = [
     "NullRecorder",
     "JsonlTraceRecorder",
     "PhaseClock",
+    "VerifierTrace",
     "NULL_RECORDER",
     "RECORD_VERSION",
     "DEFAULT_MAX_BYTES",
@@ -172,6 +179,66 @@ class JsonlTraceRecorder:
         self._stream.flush()
         if self._owns:
             self._stream.close()
+
+
+#: verifier pipeline stage -> its span name (unlisted stages get none)
+_STAGE_SPANS = {
+    "structure": "verifier.check_structure",
+    "resolve": "verifier.resolve_pseudo",
+    "do_check": "verifier.do_check",
+    "fixup": "verifier.fixup",
+}
+
+
+class VerifierTrace(Observer):
+    """The verifier's events as trace records: a ``verifier.verify``
+    span per verification, a span per pipeline stage, and the
+    ``verifier.reject`` / ``sanitizer.instrument`` events."""
+
+    def __init__(self, recorder: "JsonlTraceRecorder") -> None:
+        self.recorder = recorder
+        #: open spans, outermost first (None for an unspanned stage)
+        self._spans: list = []
+
+    def _open(self, name, **attrs) -> None:
+        span = None if name is None else self.recorder.span(name, **attrs)
+        if span is not None:
+            span.__enter__()
+        self._spans.append(span)
+
+    def _close(self, exc_type=None) -> None:
+        span = self._spans.pop()
+        if span is not None:
+            span.__exit__(exc_type, None, None)
+
+    def begin(self, program, n_insns) -> None:
+        self._spans.clear()
+        self._open("verifier.verify", insns=n_insns, prog=program)
+
+    def enter(self, stage) -> None:
+        self._open(_STAGE_SPANS.get(stage))
+
+    def leave(self, stage) -> None:
+        self._close()
+
+    def sanitize(self, sites, skipped_r10, n_insns) -> None:
+        self.recorder.event("sanitizer.instrument", sites=sites,
+                            skipped_r10=skipped_r10, insns=n_insns)
+
+    def verdict(self, verdict, errno=None, insn=-1, message="") -> None:
+        exc_type = None
+        if verdict == "reject":
+            from repro.errors import VerifierReject
+
+            exc_type = VerifierReject
+            self.recorder.event("verifier.reject", errno=errno, insn=insn,
+                                message=message)
+        while self._spans:
+            self._close(exc_type)
+
+    def abort(self, exc) -> None:
+        while self._spans:
+            self._close(type(exc))
 
 
 class PhaseClock:

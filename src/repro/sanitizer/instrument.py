@@ -54,7 +54,7 @@ def _dispatch_sequence(base: int, off: int, func_id: int) -> list[Insn]:
 
 
 def build_insertions(
-    insns: list[Insn], probe_mem: set[int]
+    insns: list[Insn], probe_mem: set[int], observer=None
 ) -> tuple[dict[int, list[Insn]], dict[int, SanitizeSite]]:
     """Plan the sanitizer insertions for a verified program.
 
@@ -62,21 +62,11 @@ def build_insertions(
     slot index to the dispatch block placed before it; ``site_by_seq``
     records, per instrumented original index, the access metadata (the
     runtime re-keys it by the final index of the ``call`` instruction
-    after patching).
+    after patching).  ``observer`` is the verifier's event subscriber
+    (:mod:`repro.obs.events`), told the pass as a stage and its counts.
     """
-    profiler = obs.profiler()
-    if profiler.enabled:
-        profiler.push("sanitize.instrument")
-    try:
-        return _build_insertions(insns, probe_mem, profiler)
-    finally:
-        if profiler.enabled:
-            profiler.pop()
-
-
-def _build_insertions(
-    insns: list[Insn], probe_mem: set[int], profiler
-) -> tuple[dict[int, list[Insn]], dict[int, SanitizeSite]]:
+    if observer is not None:
+        observer.enter("sanitize.instrument")
     insertions: dict[int, list[Insn]] = {}
     sites: dict[int, SanitizeSite] = {}
     skipped_r10 = 0
@@ -117,11 +107,7 @@ def _build_insertions(
     m = obs.metrics()
     m.counter("sanitizer.sites", len(sites))
     m.counter("sanitizer.skipped_r10", skipped_r10)
-    if profiler.enabled:
-        profiler.ops["sanitizer.sites"] += len(sites)
-        profiler.ops["sanitizer.skipped_r10"] += skipped_r10
-    rec = obs.recorder()
-    if rec.enabled:
-        rec.event("sanitizer.instrument", sites=len(sites),
-                  skipped_r10=skipped_r10, insns=len(insns))
+    if observer is not None:
+        observer.sanitize(len(sites), skipped_r10, len(insns))
+        observer.leave("sanitize.instrument")
     return insertions, sites

@@ -21,6 +21,6 @@ Injectable flaws (see :mod:`repro.kernel.config`) reproduce the paper's
 Table-2 verifier bugs so the oracle has ground truth to discover.
 """
 
-from repro.verifier.core import Verifier, verify_program
+from repro.verifier.core import Verifier
 
-__all__ = ["Verifier", "verify_program"]
+__all__ = ["Verifier"]

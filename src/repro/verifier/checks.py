@@ -405,11 +405,6 @@ def check_alu(v, state, insn: Insn) -> None:
     regs = state.regs
     op = insn.alu_op
 
-    # Profiler op-kind attribution (scalar ALU is the hottest opcode
-    # class, so the disabled cost must stay at one attribute test).
-    if v._prof is not None:
-        v._prof.alu_ops[f"{op.name}{'64' if is64 else '32'}"] += 1
-
     if insn.dst == Reg.R10:
         v.reject(errno.EACCES, "frame pointer is read only")
 
@@ -509,13 +504,10 @@ def check_alu(v, state, insn: Insn) -> None:
 
     dst.id = 0
     scalar_alu(v, dst, src, op, is64)
-    # Bound-deduction trail for the flight recorder (level 2 only:
-    # scalar ALU is the hottest opcode class, so the disabled cost must
-    # stay at this one attribute comparison).
-    if v._flight.level >= 2:
-        v._flight.refine(
-            v.cur_insn_idx, f"R{insn.dst}", f"{op.name} -> {dst}"
-        )
+    # Bound-deduction trail (scalar ALU is the hottest opcode class, so
+    # the unobserved cost must stay at this one test).
+    if v.observer is not None:
+        v.observer.refine(v.cur_insn_idx, insn, dst)
 
 
 # ---------------------------------------------------------------------------

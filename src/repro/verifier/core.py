@@ -23,7 +23,6 @@ import errno
 
 from repro import obs
 from repro.errors import VerifierReject
-from repro.obs.profile import frame_of
 from repro.ebpf.insn import Insn
 from repro.ebpf.opcodes import (
     AluOp,
@@ -53,7 +52,7 @@ from repro.verifier.env import (
 from repro.verifier.log import VerifierLog
 from repro.verifier.state import RegState, RegType
 
-__all__ = ["Verifier", "verify_program", "MAX_USER_INSNS"]
+__all__ = ["Verifier", "MAX_USER_INSNS"]
 
 #: Instruction-count cap for submitted programs (kernel: BPF_MAXINSNS
 #: for unprivileged, 1M for privileged; we use the classic cap).
@@ -149,33 +148,6 @@ def _build_structure_tables() -> tuple[tuple, tuple, tuple]:
 _STRUCT_STATIC, _STRUCT_RESID, _STRUCT_IS_CALL = _build_structure_tables()
 
 
-def _profile_family(insn: Insn) -> str:
-    """The profiler's check-family bucket for one instruction."""
-    cls = insn.insn_class
-    if cls in (InsnClass.ALU, InsnClass.ALU64):
-        return "alu"
-    if cls == InsnClass.LD:
-        return "ld_imm64"
-    if cls == InsnClass.LDX:
-        return "mem.load"
-    if cls == InsnClass.ST:
-        return "mem.store"
-    if cls == InsnClass.STX:
-        return "mem.atomic" if insn.mode == Mode.ATOMIC else "mem.store"
-    op = insn.jmp_op
-    if op == JmpOp.JA:
-        return "jump.ja"
-    if op == JmpOp.EXIT:
-        return "exit"
-    if op == JmpOp.CALL:
-        if insn.is_pseudo_call():
-            return "call.bpf2bpf"
-        if insn.is_kfunc_call():
-            return "call.kfunc"
-        return "call.helper"
-    return "jump.cond"
-
-
 class Verifier:
     """One verification run over one program."""
 
@@ -193,14 +165,15 @@ class Verifier:
         self.prog = prog
         self.insns = prog.insns
         self.sanitize = sanitize
-        #: abstract-state sanitizer (None = disabled, the hot-path
-        #: default: each checkpoint then costs one ``is not None`` test)
+        #: the event subscriber(s) (:mod:`repro.obs.events`): the
+        #: process-current observer, plus an abstract-state checker
+        #: for this load when ``check_invariants``.  None = unobserved:
+        #: every hook site then pays one ``is not None`` test.
+        self.observer = obs.observer()
         if check_invariants:
             from repro.verifier.sanity import VStateChecker
 
-            self.sanity: object | None = VStateChecker()
-        else:
-            self.sanity = None
+            self.observer = obs.compose(self.observer, VStateChecker())
         #: per-exit R0 range summaries for the differential oracle
         #: (None = disabled)
         self.exit_r0_summaries: list[tuple] | None = (
@@ -208,6 +181,7 @@ class Verifier:
         )
         self.log = VerifierLog(log_level)
         self.env = VerifierEnv(self.log, self.config.complexity_limit)
+        self.env.observer = self.observer
         #: pseudo LD_IMM64 resolutions: slot index -> (kind, payload)
         self.pseudo_refs: dict[int, tuple[str, object]] = {}
         #: loads to be rewritten as fault-handled PROBE_MEM
@@ -217,16 +191,6 @@ class Verifier:
         self.helper_ids: set[int] = set()
         self.uses_lock_helpers = False
         self.cur_insn_idx = 0
-        #: process-current flight recorder (NULL_FLIGHT when disabled;
-        #: every emission below is guarded on ``.enabled``/``.level``)
-        self._flight = obs.flight()
-        #: the env emits prune-decision events only when recording
-        self.env.flight = self._flight if self._flight.enabled else None
-        #: hierarchical profiler (None when disabled — every hook below
-        #: and in checks.py pays one ``is not None`` test)
-        prof = obs.profiler()
-        self._prof = prof if prof.enabled else None
-        self.env.profiler = self._prof
         self.max_stack_depth = 0
         self._prune_points: set[int] = set()
         #: targets of back edges: pruning there means an infinite loop
@@ -243,14 +207,8 @@ class Verifier:
         m.counter("verifier.rejected")
         m.observe("verifier.insns_processed", self.env.insns_processed)
         self._emit_prune_metrics(m)
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("verifier.reject", errno=err, insn=self.cur_insn_idx,
-                      message=message)
-        if self._flight.enabled:
-            self._flight.verdict(
-                "reject", errno=err, insn=self.cur_insn_idx, message=message
-            )
+        if self.observer is not None:
+            self.observer.verdict("reject", err, self.cur_insn_idx, message)
         raise VerifierReject(err, message, log=self.log.text())
 
     def has_flaw(self, flaw: Flaw) -> bool:
@@ -258,32 +216,26 @@ class Verifier:
 
     def mark_probe_mem(self, idx: int) -> None:
         self.probe_mem.add(idx)
-        if self._flight.enabled:
-            self._flight.patch(
-                idx, "probe_mem", "load rewritten as fault-handled PROBE_MEM"
-            )
+        if self.observer is not None:
+            self.observer.patch(idx, "probe_mem", None)
 
     def record_alu_limit(self, insn_limit: int, op: AluOp) -> None:
         self.alu_limits[self.cur_insn_idx] = (insn_limit, int(op))
-        if self._flight.enabled:
-            self._flight.patch(
-                self.cur_insn_idx, "alu_limit",
-                f"limit={insn_limit} op={AluOp(op).name}",
-            )
+        if self.observer is not None:
+            self.observer.patch(self.cur_insn_idx, "alu_limit",
+                                (insn_limit, op))
 
     def note_helper(self, proto) -> None:
         self.helper_ids.add(int(proto.helper_id))
         if proto.acquires_lock:
             self.uses_lock_helpers = True
-        if self._prof is not None:
-            self._prof.helpers[proto.name] += 1
+        if self.observer is not None:
+            self.observer.call(self.cur_insn_idx, proto)
 
     def note_kfunc(self, proto) -> None:
         self.helper_ids.add(proto.btf_id)
-        if self._prof is not None:
-            self._prof.helpers[
-                getattr(proto, "name", f"kfunc#{proto.btf_id}")
-            ] += 1
+        if self.observer is not None:
+            self.observer.call(self.cur_insn_idx, proto)
 
     # --- structural validation ------------------------------------------------
 
@@ -433,39 +385,29 @@ class Verifier:
         """Run the verifier; returns the rewritten program or raises."""
         m = obs.metrics()
         m.counter("verifier.programs")
-        if self._flight.enabled:
-            self._flight.begin(self.prog.name, len(self.insns))
-        rec = obs.recorder()
-        prof = self._prof
-        if not rec.enabled and prof is None:
-            # Hot path: no spans, no frames, just the pipeline.
-            self._check_structure()
-            self._resolve_pseudo()
-            self._do_check()
-            verified = self._fixup()
-        else:
-            # Recorder spans are shared no-ops when only profiling (and
-            # vice versa), so one instrumented pipeline serves both.
-            with rec.span("verifier.verify", insns=len(self.insns),
-                          prog=self.prog.name):
-                with rec.span("verifier.check_structure"), \
-                        frame_of(prof, "structure"):
-                    self._check_structure()
-                with rec.span("verifier.resolve_pseudo"), \
-                        frame_of(prof, "resolve"):
-                    self._resolve_pseudo()
-                with rec.span("verifier.do_check"), \
-                        frame_of(prof, "do_check"):
-                    self._do_check()
-                with rec.span("verifier.fixup"), frame_of(prof, "fixup"):
-                    verified = self._fixup()
+        observer = self.observer
+        if observer is not None:
+            observer.begin(self.prog.name, len(self.insns))
+        try:
+            for stage, run in _PIPELINE:
+                if observer is not None:
+                    observer.enter(stage)
+                verified = run(self)
+                if observer is not None:
+                    observer.leave(stage)
+        except VerifierReject:
+            raise  # reject() already reported the verdict
+        except BaseException as exc:
+            if observer is not None:
+                observer.abort(exc)
+            raise
         m.counter("verifier.accepted")
         m.observe("verifier.insns_processed", self.env.insns_processed)
         m.observe("verifier.max_stack_depth", self.max_stack_depth)
         m.gauge_max("verifier.peak_insns_processed", self.env.insns_processed)
         self._emit_prune_metrics(m)
-        if self._flight.enabled:
-            self._flight.verdict("accept", insn=self.cur_insn_idx)
+        if observer is not None:
+            observer.verdict("accept", None, self.cur_insn_idx)
         return verified
 
     def _emit_prune_metrics(self, m) -> None:
@@ -481,8 +423,7 @@ class Verifier:
     def _do_check(self) -> None:
         state: VerifierState | None = self._initial_state()
         env = self.env
-        flight = self._flight if self._flight.enabled else None
-        prof = self._prof
+        observer = self.observer
         while state is not None:
             env.insns_processed += 1
             if env.insns_processed > env.complexity_limit:
@@ -498,8 +439,6 @@ class Verifier:
             if insn.is_filler():
                 self.reject(errno.EINVAL, f"reached ldimm64 filler at {idx}")
             self.cur_insn_idx = idx
-            if flight is not None:
-                flight.step(idx, state)
 
             if self.log.level >= 2:
                 from repro.ebpf.disasm import format_insn
@@ -511,44 +450,21 @@ class Verifier:
                 )
                 self.log.write(f"{idx}: {format_insn(insn)} ; {regs_text}")
 
-            if self.sanity is not None and idx in self._prune_points:
-                self.sanity.check_state(state, "prune", idx)
+            if observer is not None:
+                observer.step(idx, insn, state)
+                if idx in self._prune_points:
+                    observer.checkpoint("prune", idx, state)
 
-            if prof is None:
-                if idx in self._loop_headers:
-                    # Kernel behaviour: reaching a back-edge target
-                    # with a state subsumed by one already verified
-                    # there means the loop made no progress.
-                    if env.loop_header_seen(state):
-                        self.reject(errno.EINVAL, "infinite loop detected")
-                elif idx in self._prune_points and env.is_visited(state):
-                    state = env.pop_state()
-                    continue
-                state = self._step(state, insn)
-            else:
-                if idx in self._loop_headers:
-                    prof.push("prune")
-                    try:
-                        if env.loop_header_seen(state):
-                            self.reject(
-                                errno.EINVAL, "infinite loop detected"
-                            )
-                    finally:
-                        prof.pop()
-                elif idx in self._prune_points:
-                    prof.push("prune")
-                    try:
-                        pruned = env.is_visited(state)
-                    finally:
-                        prof.pop()
-                    if pruned:
-                        state = env.pop_state()
-                        continue
-                prof.push(_profile_family(insn))
-                try:
-                    state = self._step(state, insn)
-                finally:
-                    prof.pop()
+            if idx in self._loop_headers:
+                # Kernel behaviour: reaching a back-edge target with a
+                # state subsumed by one already verified there means
+                # the loop made no progress.
+                if env.loop_header_seen(state):
+                    self.reject(errno.EINVAL, "infinite loop detected")
+            elif idx in self._prune_points and env.is_visited(state):
+                state = env.pop_state()
+                continue
+            state = self._step(state, insn)
             if state is None:
                 state = env.pop_state()
 
@@ -754,13 +670,13 @@ class Verifier:
             return state
         if insn.is_kfunc_call():
             check_kfunc_call(self, state, insn)
-            if self.sanity is not None:
-                self.sanity.check_state(state, "kfunc-return", idx)
+            if self.observer is not None:
+                self.observer.checkpoint("kfunc-return", idx, state)
             state.insn_idx = idx + 1
             return state
         check_helper_call(self, state, insn)
-        if self.sanity is not None:
-            self.sanity.check_state(state, "helper-return", idx)
+        if self.observer is not None:
+            self.observer.checkpoint("helper-return", idx, state)
         state.insn_idx = idx + 1
         return state
 
@@ -785,19 +701,17 @@ class Verifier:
             )
 
         op = insn.jmp_op
-        if self._prof is not None:
-            self._prof.jmp_ops[f"{op.name}{'' if is64 else '32'}"] += 1
         taken = branches.is_branch_taken(dst, src, op, is64)
         if taken == -1 and insn.src_bit == Src.X:
             swapped = branches.is_branch_taken(src, dst, _SWAP_OP.get(op, op), is64)
             if swapped != -1:
                 taken = swapped
 
-        if taken == 1:
-            state.insn_idx = idx + insn.off + 1
-            return state
-        if taken == 0:
-            state.insn_idx = idx + 1
+        observer = self.observer
+        if taken != -1:
+            if observer is not None:
+                observer.branch(idx, insn, None, None)
+            state.insn_idx = idx + insn.off + 1 if taken else idx + 1
             return state
 
         # Fork: `taken_state` follows the jump, `state` falls through.
@@ -822,23 +736,19 @@ class Verifier:
         self._apply_branch_knowledge(
             insn, state, taken_state, t_dst, t_src, f_dst, f_src, is64
         )
-        if self._flight.enabled:
-            self._flight.refine(
-                idx, f"R{insn.dst}",
-                f"{insn.jmp_op.name} taken:{t_dst} else:{f_dst}",
-            )
 
         # Drop impossible branches (contradictory refined bounds).
         push_taken = not (t_dst.is_bounds_broken() or t_src.is_bounds_broken())
         keep_false = not (f_dst.is_bounds_broken() or f_src.is_bounds_broken())
-        if self.sanity is not None:
+        if observer is not None:
+            observer.branch(idx, insn, t_dst, f_dst)
             # Branch-merge checkpoint: only surviving states must hold
             # the invariants (dropped sides are contradictory by
             # construction).
             if push_taken:
-                self.sanity.check_state(taken_state, "branch", idx)
+                observer.checkpoint("branch", idx, taken_state)
             if keep_false:
-                self.sanity.check_state(state, "branch", idx)
+                observer.checkpoint("branch", idx, state)
         if push_taken:
             self.env.push_state(taken_state)
         if keep_false:
@@ -905,6 +815,16 @@ class Verifier:
         return run_fixup(self)
 
 
+#: ``verify()``'s stages, in order: (observer stage name, step); the
+#: last step's return value is the verified program
+_PIPELINE = (
+    ("structure", Verifier._check_structure),
+    ("resolve", Verifier._resolve_pseudo),
+    ("do_check", Verifier._do_check),
+    ("fixup", Verifier._fixup),
+)
+
+
 _SWAP_OP = {
     JmpOp.JEQ: JmpOp.JEQ,
     JmpOp.JNE: JmpOp.JNE,
@@ -918,19 +838,3 @@ _SWAP_OP = {
     JmpOp.JSLE: JmpOp.JSGE,
 }
 
-
-def verify_program(
-    kernel,
-    prog: BpfProgram,
-    log_level: int = 1,
-    sanitize: bool = False,
-    check_invariants: bool = False,
-) -> VerifiedProgram:
-    """Convenience wrapper: run the verifier over ``prog``."""
-    return Verifier(
-        kernel,
-        prog,
-        log_level=log_level,
-        sanitize=sanitize,
-        check_invariants=check_invariants,
-    ).verify()

@@ -273,13 +273,9 @@ class VerifierEnv:
         self.prune_scan_hits = 0
         self.prune_misses = 0
         self.prune_evictions = 0
-        #: flight recorder for prune-decision events (None = disabled;
-        #: the Verifier sets this only when recording is on, so the
-        #: hot path pays one ``is not None`` test per prune decision)
-        self.flight = None
-        #: hierarchical profiler for prune-outcome counts (same
-        #: None-when-disabled contract as ``flight``)
-        self.profiler = None
+        #: the Verifier's observer, told every prune decision (None =
+        #: unobserved: one ``is not None`` test per decision)
+        self.observer = None
 
     def new_id(self) -> int:
         self._next_id += 1
@@ -310,22 +306,16 @@ class VerifierEnv:
         seen = index.get(state.insn_idx)
         if seen is None:
             seen = index[state.insn_idx] = []
-        flight = self.flight
-        profiler = self.profiler
         for pos, old in enumerate(seen):
             if states_equal(old, state):
                 seen.append(seen.pop(pos))
                 self.prune_scan_hits += 1
-                if flight is not None:
-                    flight.prune(state.insn_idx, point, "scan-hit")
-                if profiler is not None:
-                    profiler.ops[f"{point}.scan-hit"] += 1
+                if self.observer is not None:
+                    self.observer.prune(state.insn_idx, point, "scan-hit")
                 return True
         self.prune_misses += 1
-        if flight is not None:
-            flight.prune(state.insn_idx, point, "miss")
-        if profiler is not None:
-            profiler.ops[f"{point}.miss"] += 1
+        if self.observer is not None:
+            self.observer.prune(state.insn_idx, point, "miss")
         seen.append(state.clone())
         if len(seen) > cap:
             del seen[0]

@@ -64,7 +64,7 @@ def run_fixup(v) -> VerifiedProgram:
 
     sanitize = v.sanitize and v.config.sanitizer_available
     if sanitize:
-        insertions, sites = build_insertions(xlated, probe_mem)
+        insertions, sites = build_insertions(xlated, probe_mem, v.observer)
 
         # Third patch: runtime alu_limit checks for sanitized ptr ALU.
         for idx, (limit, op) in v.alu_limits.items():

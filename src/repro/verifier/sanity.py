@@ -30,15 +30,16 @@ Checked invariants, per live register (and per spilled stack slot):
 
 The checker raises :class:`~repro.errors.InvariantViolation`; message
 text embeds the invariant code so :mod:`repro.obs.taxonomy` classifies
-each violation to its own reason code.  The hot path pays one
-``is not None`` test per checkpoint when the checker is disabled
-(the default); `benchmarks/test_throughput.py` keeps that under the
-5% budget.
+each violation to its own reason code.  It is a subscriber of the
+verifier's event stream (:mod:`repro.obs.events`) that consumes only
+``checkpoint`` events; ``Kernel.prog_load(check_invariants=True)``
+adds one to that load's observer.
 """
 
 from __future__ import annotations
 
 from repro.errors import InvariantViolation
+from repro.obs.events import Observer
 from repro.verifier.state import RegState, RegType, S64_MAX, S64_MIN, U64_MAX
 
 __all__ = ["VStateChecker", "INVARIANT_CODES"]
@@ -79,19 +80,21 @@ def _signed_unsigned_disjoint(reg: RegState) -> bool:
     return reg.umin > reg.smax and reg.umax < reg.smin + (1 << 64)
 
 
-class VStateChecker:
+class VStateChecker(Observer):
     """Validates verifier abstract states at checkpoints.
 
-    One checker instance serves one verification run; ``violations``
-    counts how many states it inspected (cheap sanity telemetry).
+    One checker instance serves one verification run;
+    ``states_checked`` counts how many states it inspected (cheap
+    sanity telemetry).
     """
-
-    __slots__ = ("states_checked",)
 
     def __init__(self) -> None:
         self.states_checked = 0
 
     # ------------------------------------------------------------ entry --
+
+    def checkpoint(self, site, idx, state) -> None:
+        self.check_state(state, site, idx)
 
     def check_state(self, vstate, checkpoint: str, insn_idx: int) -> None:
         """Validate every live register and spilled slot of ``vstate``."""

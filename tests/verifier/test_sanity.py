@@ -152,8 +152,9 @@ class TestCorpusClean:
         )
         verifier = Verifier(kernel, prog, check_invariants=True)
         verifier.verify()
-        assert verifier.sanity is not None
-        assert verifier.sanity.states_checked > 0
+        # With nothing else observing, the checker is the observer.
+        assert isinstance(verifier.observer, VStateChecker)
+        assert verifier.observer.states_checked > 0
 
     def test_disabled_by_default(self):
         from repro.ebpf import asm
@@ -165,7 +166,7 @@ class TestCorpusClean:
         prog = BpfProgram(
             insns=[asm.mov64_imm(Reg.R0, 0), asm.exit_insn()]
         )
-        assert Verifier(kernel, prog).sanity is None
+        assert Verifier(kernel, prog).observer is None
 
 
 class TestAluRegressions:
