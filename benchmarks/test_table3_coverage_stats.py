@@ -8,7 +8,7 @@ Paper result (covered branches over 48h, average of 3 runs):
     bpf-next   65176   52295 (+19.8%)    9271 (+603.0%)
 
 Absolute counts are kcov branches of the kernel verifier; ours are
-line-edges of the Python verifier, so only the *relative improvements*
+block edges of the Python verifier, so only the *relative improvements*
 are the reproduction target: BVF ahead of Syzkaller by a modest double-
 digit percentage, and ahead of Buzzer by several hundred percent.
 """

@@ -227,8 +227,8 @@ def test_observer_overhead():
     repair runs write their side outputs.
 
     Methodology: one **warm-up** campaign per mode first — the first
-    campaigns of a process pay one-off costs (coverage-tracer build and
-    attach, cold tnum memo, lazy imports) that would otherwise be
+    campaigns of a process pay one-off costs (coverage-probe install,
+    cold tnum memo, lazy imports) that would otherwise be
     attributed to whichever mode ran first — then 3 interleaved rounds
     (so a slow stretch of the host penalises both modes equally), scored
     by the **median** round, which a single descheduled outlier cannot
@@ -293,38 +293,25 @@ def test_observer_overhead():
     )
 
 
-def test_coverage_backend_comparison():
-    """Benchmark the coverage backends against the same verify workload.
+def test_coverage_cost():
+    """Price the block probes against the same verify workload.
 
-    ROADMAP item 5: on Python 3.12+ the PEP 669 :mod:`sys.monitoring`
-    backend should beat :func:`sys.settrace` because out-of-scope code
-    objects disable their own events after the first hit, while
-    settrace pays a call-event filter on every frame forever.  This
-    benchmark verifies the two claims ``backend="auto"`` rests on:
-
-    - every available backend produces a **bit-identical edge set** for
-      the same workload (otherwise auto-selection would change the
-      science, not just the speed);
-    - the preference order ``ctrace > monitoring > settrace`` is
-      recorded per host in ``BENCH_throughput.json`` so the trajectory
-      shows which backend CI actually exercised and what the faster
-      default buys.
-
-    Methodology mirrors :func:`test_observer_overhead`: a fixed
-    pre-generated program batch, one warm-up pass per backend, then the
-    median of 3 interleaved rounds.  The speed assertion (monitoring >= 0.9x
-    settrace) only applies when monitoring exists (3.12+); it is a
-    loose floor, not the expected win — CI hardware noise must not turn
-    an improvement PR red.
+    A fixed batch of generated programs is verified inside
+    ``VerifierCoverage.collect()`` windows and with no window open,
+    where every probe is a global load and an ``is not None`` test.
+    One warm-up per mode (the first window of the process installs the
+    probes), then 3 interleaved rounds scored by their median, like
+    ``test_observer_overhead``.  ``overhead`` is the extra verify time a
+    window costs; ``edges`` is the batch's block-edge count, which must
+    not vary from round to round.
     """
-    import sys as _sys
     import time
     from statistics import median
 
     from repro.ebpf.program import BpfProgram
-    from repro.errors import BpfError, VerifierReject
+    from repro.errors import BpfError
     from repro.fuzz.campaign import make_generator
-    from repro.fuzz.coverage import VerifierCoverage, _MonitoringBackend
+    from repro.fuzz.coverage import VerifierCoverage
     from repro.fuzz.rng import FuzzRng
     from repro.kernel.config import PROFILES as _PROFILES
     from repro.kernel.syscall import Kernel
@@ -342,81 +329,52 @@ def test_coverage_backend_comparison():
             name=f"bench_{i}", offload_dev=gp.offload_dev,
         ))
 
-    def run_backend(name: str) -> tuple[float, frozenset[int]]:
-        coverage = VerifierCoverage(backend=name)
+    def load(prog) -> None:
+        try:
+            Kernel(_PROFILES["bpf-next"]()).prog_load(prog, sanitize=True)
+        except BpfError:
+            pass
+
+    def run(window: bool) -> tuple[float, frozenset[int]]:
+        coverage = VerifierCoverage()
         started = time.perf_counter()
         for prog in programs:
-            kernel_run = Kernel(_PROFILES["bpf-next"]())
-            with coverage.collect():
-                try:
-                    kernel_run.prog_load(prog, sanitize=True)
-                except (VerifierReject, BpfError):
-                    pass
-        elapsed = time.perf_counter() - started
-        return batch_size / elapsed, coverage.snapshot_edges()
+            if window:
+                with coverage.collect():
+                    load(prog)
+            else:
+                load(prog)
+        return time.perf_counter() - started, coverage.snapshot_edges()
 
-    backends = ["settrace"]
-    if _MonitoringBackend.available():
-        backends.append("monitoring")
-    try:
-        VerifierCoverage(backend="ctrace")
-    except ValueError:
-        pass
-    else:
-        backends.append("ctrace")
-
-    for name in backends:  # warm-up, discarded
-        run_backend(name)
-    rounds: dict[str, list[float]] = {name: [] for name in backends}
-    edge_sets: dict[str, frozenset[int]] = {}
+    modes = (False, True)
+    for window in modes:  # warm-up, discarded
+        run(window)
+    rounds: dict[bool, list[float]] = {window: [] for window in modes}
+    edge_sets = set()
     for _ in range(3):
-        for name in backends:
-            pps, edges = run_backend(name)
-            rounds[name].append(pps)
-            edge_sets[name] = edges
-    samples = {name: median(values) for name, values in rounds.items()}
+        for window in modes:
+            elapsed, edges = run(window)
+            rounds[window].append(elapsed)
+            if window:
+                edge_sets.add(edges)
+    bare, covered = median(rounds[False]), median(rounds[True])
+    overhead = covered / bare - 1.0
+    assert len(edge_sets) == 1, "the same batch recorded different edges"
+    (edges,) = edge_sets
+    assert edges
 
-    # Equivalence: backend choice must not change the measured edges.
-    reference = edge_sets["settrace"]
-    for name, edges in edge_sets.items():
-        assert edges == reference, (
-            f"backend {name} produced a different edge set than settrace "
-            f"({len(edges)} vs {len(reference)} edges)"
-        )
-
-    auto_default = VerifierCoverage(backend="auto").backend_name
     payload = _load_payload()
-    payload["coverage_backends"] = {
+    payload["coverage"] = {
         "batch_size": batch_size,
-        "python": f"{_sys.version_info.major}.{_sys.version_info.minor}",
-        "auto_default": auto_default,
-        "verifications_per_sec": {
-            name: round(samples[name], 2) for name in backends
-        },
-        "monitoring_speedup_vs_settrace": (
-            round(samples["monitoring"] / samples["settrace"], 3)
-            if "monitoring" in samples else None
-        ),
-        "edges": len(reference),
+        "overhead": round(overhead, 4),
+        "edges": len(edges),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print("\n=== Coverage backend comparison ===")
-    for name in backends:
-        marker = " (auto default)" if name == auto_default else ""
-        print(f"{name:>11}: {samples[name]:8.1f} verifications/sec{marker}")
-    if "monitoring" in samples:
-        speedup = samples["monitoring"] / samples["settrace"]
-        print(f"monitoring vs settrace: {speedup:.2f}x")
-        assert speedup >= 0.9, (
-            f"sys.monitoring backend ({samples['monitoring']:.1f}/s) fell "
-            f"below 0.9x settrace ({samples['settrace']:.1f}/s); the auto "
-            "preference order is no longer justified on this host"
-        )
-    else:
-        print(f"sys.monitoring unavailable on Python "
-              f"{_sys.version_info.major}.{_sys.version_info.minor}; "
-              "recorded settrace baseline only")
+    print("\n=== coverage cost (block probes) ===")
+    print(f"no window: {batch_size / bare:8.1f} verifications/sec")
+    print(f"   window: {batch_size / covered:8.1f} verifications/sec")
+    print(f"window overhead: {overhead:+.1%}, {len(edges)} edges")
 
 
 def test_flight_events_artifact():

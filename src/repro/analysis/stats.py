@@ -103,7 +103,7 @@ class ThroughputStats:
     """Campaign throughput and its wall-clock split.
 
     The campaign loop times its three phases — program generation,
-    verification (the ``prog_load`` path, coverage tracing included),
+    verification (the ``prog_load`` path, coverage probes included),
     and plan execution — so throughput regressions can be attributed.
     For parallel campaigns the phase times sum over shards (total CPU
     work) while ``wall_seconds`` is the parent's clock, so

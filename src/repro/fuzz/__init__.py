@@ -14,9 +14,9 @@ The fuzzer combines three ingredients:
    kernel's own self-checks), plus differential triage that attributes
    indicator-#1 findings to a root-cause verifier flaw.
 3. **Coverage-guided exploration** (:mod:`repro.fuzz.coverage`,
-   :mod:`repro.fuzz.corpus`): a kcov-like edge tracer over the
-   verifier's code provides feedback; interesting programs are kept
-   and mutated.
+   :mod:`repro.fuzz.corpus`): kcov-like block probes compiled into
+   the verifier's decision modules provide feedback; interesting
+   programs are kept and mutated.
 
 Baselines for the paper's comparisons (Syzkaller, Buzzer) live in
 :mod:`repro.fuzz.baselines`.

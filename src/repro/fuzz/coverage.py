@@ -3,437 +3,285 @@
 The paper instruments only the eBPF source with kcov and uses branch
 coverage both as the fuzzer's feedback signal and as the evaluation
 metric (Figure 6 / Table 3).  Our "kernel source" is the Python
-verifier, so we trace *it*: a tracing hook, enabled only while the
-verifier runs, records line-to-line edges within the modules under
-``repro/verifier``.  Unique ``(code object, prev line, line)`` edges
-are the branch-coverage analogue.
+verifier, so we instrument *it*, the way kcov and SanitizerCoverage
+do: at compile time, one probe per basic block.
 
-Three tracing backends are available:
+**Block probes.**  The source of each decision module is parsed, a
+probe statement is inserted at every basic-block start, and the tree
+is compiled again.  A block starts at
 
-- ``ctrace`` — a C trace callback (:mod:`_bvf_ctrace`, compiled on
-  demand from ``_native/ctrace.c`` via :func:`PyEval_SetTrace`), which
-  replaces the interpreter-level per-line dispatch with a C call and a
-  hash-set insert; it produces bit-identical edge keys to the Python
-  backends and is preferred whenever a C compiler or a prebuilt
-  extension is available;
-- ``monitoring`` — the PEP 669 :mod:`sys.monitoring` API (Python
-  3.12+), which dispatches per-line events without the per-call
-  closure allocation ``sys.settrace`` needs and lets out-of-scope code
-  disable its own events after the first hit;
-- ``settrace`` — the classic :func:`sys.settrace` hook, the portable
-  fallback that works on every interpreter.
+- a function's entry (after its docstring);
+- the first statement of every ``body``/``orelse``/``handlers``/
+  ``finalbody``/``case``;
+- the statement after each compound statement (``if``, loops,
+  ``try``, ``with``, ``match``).
 
-``backend="auto"`` (the default) picks the fastest available one in
-the order above.
+Module and class bodies get no probes: they ran once, at import.
+Each probe owns a dense site id ``1..n`` assigned in deterministic
+AST order over the modules, and records the *block edge* it closes::
 
-Edge keys are **stable across processes**: they are composed from a
-CRC32 of the code object's file/qualname/first-line identity plus the
-line pair, never from :func:`hash` (whose string hashing is salted per
-process).  That is what makes :meth:`merge`/:meth:`snapshot_edges`
-sound for the sharded parallel campaigns in
-:mod:`repro.fuzz.parallel`: a union of edge sets collected in
-different worker processes counts each distinct verifier edge exactly
-once.
+    if _bvf_cov_window is not None:
+        _bvf_cov_window.add(_bvf_cov_prev + SITE)
+        _bvf_cov_prev = SITE * N
 
-The tracer is deliberately scoped: helper implementations, maps, and
-the interpreter are not traced, mirroring the paper's setup where only
-the eBPF subsystem is instrumented so all tools compete on the same
-measurement range.  Within ``repro/verifier`` the scope is narrowed
-further to the *decision* modules (:data:`_SCOPE_BASENAMES` — the
-instruction walker, ALU/memory checks, branch reasoning, and call
-checking), where control flow corresponds to verifier verdicts.  The
-data-structure modules (``tnum``/``state``/``stack``/``env``) are
-arithmetic and book-keeping plumbing whose edges carry no feedback
-signal — and keeping them out of scope is also what makes the tnum
-memoization and copy-on-write clone machinery they host
-*coverage-transparent*: a cache hit or miss can never change which
-edges a program contributes.
+``_bvf_cov_window`` is a module global holding the open window's edge
+set, or ``None``; ``_bvf_cov_prev`` is a frame local holding the
+previous site times ``N = n + 1``.  An edge key is therefore
+``prev_site * N + site`` (``prev_site`` is 0 at function entry): dense
+small ints, collision-free, and a pure function of the source, so
+edge sets from different worker processes union soundly (see
+:mod:`repro.fuzz.parallel`).  With no window open a probe costs one
+global load and an ``is not None`` test, and the interpreter never
+leaves its fast path: no trace hook is ever installed.  The entry
+probe also stores ``_bvf_cov_prev`` unconditionally, so a frame is
+never left without one.
+
+**Installation.**  :func:`install_probes` compiles the instrumented
+modules once per process, at the first :meth:`VerifierCoverage.collect`
+(``ParallelCampaign.run`` calls it before forking its workers, which
+inherit it).  It swaps ``__code__`` on every existing function object
+of the modules — module functions, methods, properties, static and
+class methods, wherever they are referenced — so names other modules
+took with ``from ... import`` see the probes too.  Nested functions
+come along as constants of their parent's code.  A probe carries the
+source location of the statement it precedes, so tracebacks and
+``co_firstlineno`` are unchanged.  A process that never collects
+(``repro selftest``, uncovered runs) compiles nothing and pays nothing.
+
+**Scope.**  Helper implementations, maps and the interpreter are not
+instrumented, mirroring the paper's setup where only the eBPF
+subsystem is, so all tools compete on the same measurement range.
+Within ``repro/verifier`` the scope is narrowed further to the
+*decision* modules (:data:`_SCOPE_MODULES` — the instruction walker,
+ALU/memory checks, branch reasoning, and call checking), where control
+flow corresponds to verifier verdicts.  The data-structure modules
+(``tnum``/``state``/``stack``/``env``) are arithmetic and
+book-keeping plumbing whose edges carry no feedback signal — and
+keeping them out of scope is also what makes the tnum memoization and
+copy-on-write clone machinery they host *coverage-transparent*: a
+cache hit or miss can never change which edges a program contributes.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import zlib
+import ast
+import gc
+import importlib
 from contextlib import contextmanager
+from types import CodeType, FunctionType
 from typing import Iterable
 
-import repro.verifier as _verifier_pkg
+__all__ = ["VerifierCoverage", "CoverageReentryError", "install_probes"]
 
-__all__ = ["VerifierCoverage", "CoverageReentryError"]
-
-_VERIFIER_DIR = os.path.dirname(os.path.abspath(_verifier_pkg.__file__))
-
-
-def _preload_verifier_modules() -> None:
-    """Import every ``repro.verifier`` submodule eagerly.
-
-    A submodule imported lazily during a traced verifier run would
-    contribute its module-body lines as coverage edges — but only in
-    the first collection window of whichever process happens to import
-    it first.  That would make edge sets depend on process history
-    (a forked shard worker inherits its parent's warm import state and
-    never records them), breaking the worker-count invariance of
-    parallel campaign merges.  Importing everything up front keeps
-    edge sets a pure function of what the verifier executes.
-    """
-    import importlib
-    import pkgutil
-
-    for module in pkgutil.iter_modules(_verifier_pkg.__path__):
-        importlib.import_module(f"{_verifier_pkg.__name__}.{module.name}")
-
-
-_preload_verifier_modules()
-
-#: Bits reserved for each line number inside an edge key.  Verifier
-#: modules are a few thousand lines; 15 bits (32767) is ample.
-_LINE_BITS = 15
-_LINE_MASK = (1 << _LINE_BITS) - 1
-
-
-#: Decision modules inside ``repro/verifier`` that contribute edges.
-_SCOPE_BASENAMES = frozenset(
-    {"core.py", "checks.py", "branches.py", "calls.py"}
+#: Decision modules of ``repro/verifier`` that carry probes, in the
+#: order their sites are numbered.
+_SCOPE_MODULES = (
+    "repro.verifier.branches",
+    "repro.verifier.calls",
+    "repro.verifier.checks",
+    "repro.verifier.core",
 )
 
+#: Module global holding the open window's edge set (``None`` when
+#: closed), and the frame local holding the previous site's stride.
+_WINDOW = "_bvf_cov_window"
+_PREV = "_bvf_cov_prev"
 
-def _in_scope(filename: str) -> bool:
-    return (
-        filename.startswith(_VERIFIER_DIR)
-        and os.path.basename(filename) in _SCOPE_BASENAMES
-    )
+#: Statements after which a new basic block starts.
+_COMPOUND = (
+    ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try, ast.TryStar,
+    ast.With, ast.AsyncWith, ast.Match,
+)
+
+#: Globals dicts of the instrumented modules once probes are installed.
+_NAMESPACES: list[dict] = []
+#: Whether a collection window is open in this process.
+_WINDOW_OPEN = False
 
 
-def _stable_code_id(code) -> int:
-    """A per-process-independent 32-bit identity for a code object.
+class _Probes:
+    """Inserts block probes into function bodies, numbering the sites.
 
-    ``hash(code)`` mixes in salted string hashes (PYTHONHASHSEED), so
-    edge sets built in different worker processes would not compare or
-    union correctly.  CRC32 over the stable identity triple does.
+    With ``stride=None`` it only counts the sites, which is how
+    :func:`install_probes` learns ``N`` before it builds any probe.
     """
-    qualname = getattr(code, "co_qualname", code.co_name)
-    key = f"{os.path.basename(code.co_filename)}:{qualname}:{code.co_firstlineno}"
-    return zlib.crc32(key.encode())
+
+    def __init__(self, stride: int | None) -> None:
+        self.stride = stride
+        self.n_sites = 0
+
+    def module(self, tree: ast.Module) -> None:
+        tree.body = self._block(tree.body, in_function=False)
+
+    def _block(self, body: list[ast.stmt], in_function: bool,
+               entry: bool = False) -> list[ast.stmt]:
+        out: list[ast.stmt] = []
+        block_start = in_function
+        for stmt in body:
+            if block_start:
+                out.extend(self._probe(stmt, entry))
+                entry = False
+            self._descend(stmt, in_function)
+            out.append(stmt)
+            block_start = in_function and isinstance(stmt, _COMPOUND)
+        return out
+
+    def _descend(self, stmt: ast.stmt, in_function: bool) -> None:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = stmt.body[:1] if ast.get_docstring(stmt, clean=False) else []
+            rest = stmt.body[len(doc):]
+            stmt.body = doc + (self._block(rest, True, entry=True) if rest
+                               else self._probe(doc[0], entry=True))
+        elif isinstance(stmt, ast.ClassDef):
+            stmt.body = self._block(stmt.body, in_function=False)
+        elif isinstance(stmt, ast.Match):
+            for case in stmt.cases:
+                case.body = self._block(case.body, in_function)
+        else:
+            for field in ("body", "orelse", "finalbody"):
+                block = getattr(stmt, field, None)
+                if block:
+                    setattr(stmt, field, self._block(block, in_function))
+            for handler in getattr(stmt, "handlers", ()):
+                handler.body = self._block(handler.body, in_function)
+
+    def _probe(self, at: ast.stmt, entry: bool) -> list[ast.stmt]:
+        """The probe of a new site, located at the statement it precedes."""
+        self.n_sites += 1
+        site = self.n_sites
+        if self.stride is None:
+            return []
+        loc = {"lineno": at.lineno, "col_offset": at.col_offset,
+               "end_lineno": at.end_lineno, "end_col_offset": at.end_col_offset}
+
+        def name(id_, ctx):
+            return ast.Name(id_, ctx, **loc)
+
+        def const(value):
+            return ast.Constant(value, **loc)
+
+        set_prev = ast.Assign([name(_PREV, ast.Store())],
+                              const(site * self.stride), **loc)
+        key = (const(site) if entry else
+               ast.BinOp(name(_PREV, ast.Load()), ast.Add(), const(site), **loc))
+        record = ast.Expr(ast.Call(
+            ast.Attribute(name(_WINDOW, ast.Load()), "add", ast.Load(), **loc),
+            [key], [], **loc), **loc)
+        window_open = ast.Compare(name(_WINDOW, ast.Load()), [ast.IsNot()],
+                                  [const(None)], **loc)
+        if entry:
+            return [set_prev, ast.If(window_open, [record], [], **loc)]
+        return [ast.If(window_open, [record, set_prev], [], **loc)]
 
 
-def _edge_key(code_id: int, prev: int, line: int) -> int:
-    return (
-        (code_id << (2 * _LINE_BITS))
-        | ((prev & _LINE_MASK) << _LINE_BITS)
-        | (line & _LINE_MASK)
-    )
+def _code_index(code: CodeType, index: dict) -> None:
+    """Map ``(qualname, firstlineno)`` of every code nested in ``code``."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            index[(const.co_qualname, const.co_firstlineno)] = const
+            _code_index(const, index)
+
+
+def _parse(module) -> ast.Module:
+    with open(module.__file__, encoding="utf-8") as source:
+        return ast.parse(source.read(), module.__file__)
+
+
+def install_probes() -> None:
+    """Instrument the decision modules; a no-op after the first call.
+
+    Parses and compiles the modules again with block probes, then
+    swaps ``__code__`` on every function object whose code came from
+    them.  Costs ~0.15 s, once per process.
+    """
+    if _NAMESPACES:
+        return
+    modules = [importlib.import_module(name) for name in _SCOPE_MODULES]
+    # Two passes, one tree alive at a time: the trees of all four
+    # modules at once would raise the process's peak RSS by ~7 MB.
+    counter = _Probes(stride=None)
+    for module in modules:
+        counter.module(_parse(module))
+    probes = _Probes(stride=counter.n_sites + 1)
+    index: dict[str, dict] = {}
+    for module in modules:
+        tree = _parse(module)
+        probes.module(tree)
+        _code_index(compile(tree, module.__file__, "exec", dont_inherit=True),
+                    index.setdefault(module.__file__, {}))
+        setattr(module, _WINDOW, None)
+    for obj in gc.get_objects():
+        if type(obj) is FunctionType and obj.__code__.co_filename in index:
+            code = obj.__code__
+            new = index[code.co_filename].get(
+                (code.co_qualname, code.co_firstlineno))
+            if new is not None:
+                obj.__code__ = new
+    _NAMESPACES.extend(vars(module) for module in modules)
+
+
+def _set_window(window: set[int] | None) -> None:
+    for namespace in _NAMESPACES:
+        namespace[_WINDOW] = window
 
 
 class CoverageReentryError(RuntimeError):
-    """Raised when :meth:`VerifierCoverage.collect` is nested.
+    """Raised when a collection window opens inside another one.
 
-    A nested window would clobber the active window's edge set and
-    silently corrupt ``last_new`` (the corpus feedback signal), so
-    re-entry is rejected loudly instead.
+    Probes write to the one window open in the process, so a nested
+    window would clobber the active window's edge set and silently
+    corrupt ``last_new`` (the corpus feedback signal); re-entry is
+    rejected loudly instead.
     """
-
-
-#: Cached ``_bvf_ctrace`` module, or ``False`` after a failed attempt
-#: (so a missing compiler is probed exactly once per process).
-_CTRACE_MODULE: object = None
-
-
-def _load_ctrace():
-    """Import the C tracer, compiling it on first use if possible.
-
-    Returns the module or ``None``.  Failures (no compiler, no
-    ``Python.h``, exotic platform) are cached and silent: the Python
-    backends are always available as fallbacks, so a build problem
-    must never break a campaign, only slow it down.
-    """
-    global _CTRACE_MODULE
-    if _CTRACE_MODULE is not None:
-        return _CTRACE_MODULE or None
-
-    import importlib.util
-    import shutil
-    import subprocess
-    import sysconfig
-
-    native_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                              "_native")
-    source = os.path.join(native_dir, "ctrace.c")
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    target = os.path.join(native_dir, f"_bvf_ctrace{suffix}")
-
-    def _import_built():
-        spec = importlib.util.spec_from_file_location("_bvf_ctrace", target)
-        if spec is None or spec.loader is None:
-            return None
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    try:
-        if (not os.path.exists(target)
-                or os.path.getmtime(target) < os.path.getmtime(source)):
-            compiler = shutil.which("cc") or shutil.which("gcc")
-            include = sysconfig.get_path("include")
-            if compiler is None or include is None:
-                raise OSError("no C compiler or Python headers")
-            subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
-                 source, "-o", target],
-                check=True, capture_output=True, timeout=120,
-            )
-        _CTRACE_MODULE = _import_built()
-    except Exception:
-        _CTRACE_MODULE = False
-        return None
-    if _CTRACE_MODULE is None:
-        _CTRACE_MODULE = False
-        return None
-    return _CTRACE_MODULE
-
-
-class _CtraceBackend:
-    """Line-edge tracing via the :mod:`_bvf_ctrace` C extension.
-
-    The extension keeps the hot path — one trace callback per line —
-    entirely in C: scope classification is cached per code object, the
-    edge key is assembled from a per-frame shadow stack, and edges land
-    in a C hash set that is only materialised as Python ints when the
-    window closes.
-    """
-
-    name = "ctrace"
-
-    def __init__(self, module) -> None:
-        self._module = module
-        self._window: set[int] | None = None
-
-    @staticmethod
-    def load():
-        return _load_ctrace()
-
-    def start(self, window: set[int]) -> None:
-        self._window = window
-        self._module.start(_VERIFIER_DIR, _SCOPE_BASENAMES)
-
-    def stop(self) -> None:
-        window, self._window = self._window, None
-        window |= self._module.stop()
-
-
-class _SettraceBackend:
-    """Line-edge tracing via :func:`sys.settrace`."""
-
-    name = "settrace"
-
-    def __init__(self) -> None:
-        self._scope_cache: dict[str, bool] = {}
-        self._code_ids: dict[object, int] = {}
-        self._window: set[int] | None = None
-        self._saved_trace = None
-
-    def start(self, window: set[int]) -> None:
-        self._window = window
-        self._saved_trace = sys.gettrace()
-        sys.settrace(self._global_trace)
-
-    def stop(self) -> None:
-        sys.settrace(self._saved_trace)
-        self._saved_trace = None
-        self._window = None
-
-    def _global_trace(self, frame, event, arg):
-        if event != "call":
-            return None
-        code = frame.f_code
-        filename = code.co_filename
-        in_scope = self._scope_cache.get(filename)
-        if in_scope is None:
-            in_scope = _in_scope(filename)
-            self._scope_cache[filename] = in_scope
-        if not in_scope:
-            return None
-        code_id = self._code_ids.get(code)
-        if code_id is None:
-            code_id = _stable_code_id(code)
-            self._code_ids[code] = code_id
-        shifted = code_id << (2 * _LINE_BITS)
-        prev = [frame.f_lineno]
-        window = self._window
-        window_add = window.add
-
-        def local_trace(frame, event, arg):
-            if event == "line":
-                line = frame.f_lineno
-                window_add(
-                    shifted
-                    | ((prev[0] & _LINE_MASK) << _LINE_BITS)
-                    | (line & _LINE_MASK)
-                )
-                prev[0] = line
-            return local_trace
-
-        return local_trace
-
-
-class _MonitoringBackend:
-    """Line-edge tracing via :mod:`sys.monitoring` (PEP 669).
-
-    Out-of-scope code objects return ``sys.monitoring.DISABLE`` from
-    their first event, so after warm-up only verifier code pays any
-    dispatch cost at all — the core of the hot-path win over
-    ``settrace``, which must filter every call event forever.
-    """
-
-    name = "monitoring"
-
-    def __init__(self) -> None:
-        self._scope_cache: dict[object, bool] = {}
-        self._code_ids: dict[object, int] = {}
-        #: per-code previous line within the current window
-        self._prev: dict[object, int] = {}
-        self._window: set[int] | None = None
-
-    @staticmethod
-    def available() -> bool:
-        return hasattr(sys, "monitoring")
-
-    @property
-    def _tool_id(self) -> int:
-        return sys.monitoring.COVERAGE_ID
-
-    def start(self, window: set[int]) -> None:
-        mon = sys.monitoring
-        try:
-            mon.use_tool_id(self._tool_id, "bvf-verifier-coverage")
-        except ValueError as exc:  # pragma: no cover - foreign tool active
-            raise CoverageReentryError(
-                "sys.monitoring coverage tool id already in use "
-                "(another collection window is active?)"
-            ) from exc
-        self._window = window
-        self._prev.clear()
-        events = mon.events
-        mon.register_callback(self._tool_id, events.PY_START, self._on_start)
-        mon.register_callback(self._tool_id, events.LINE, self._on_line)
-        mon.set_events(self._tool_id, events.PY_START | events.LINE)
-
-    def stop(self) -> None:
-        mon = sys.monitoring
-        mon.set_events(self._tool_id, 0)
-        mon.register_callback(self._tool_id, mon.events.PY_START, None)
-        mon.register_callback(self._tool_id, mon.events.LINE, None)
-        mon.free_tool_id(self._tool_id)
-        self._window = None
-        self._prev.clear()
-
-    def _scoped(self, code) -> bool:
-        in_scope = self._scope_cache.get(code)
-        if in_scope is None:
-            in_scope = _in_scope(code.co_filename)
-            self._scope_cache[code] = in_scope
-        return in_scope
-
-    def _on_start(self, code, instruction_offset):
-        if not self._scoped(code):
-            return sys.monitoring.DISABLE
-        # Function entry: edges restart from the def line, matching the
-        # settrace backend's per-call prev initialisation.
-        self._prev[code] = code.co_firstlineno
-        return None
-
-    def _on_line(self, code, line):
-        if not self._scoped(code):
-            return sys.monitoring.DISABLE
-        code_id = self._code_ids.get(code)
-        if code_id is None:
-            code_id = _stable_code_id(code)
-            self._code_ids[code] = code_id
-        prev = self._prev.get(code, code.co_firstlineno)
-        self._window.add(_edge_key(code_id, prev, line))
-        self._prev[code] = line
-        return None
-
-
-def _make_backend(backend: str):
-    if backend == "auto":
-        module = _CtraceBackend.load()
-        if module is not None:
-            return _CtraceBackend(module)
-        backend = "monitoring" if _MonitoringBackend.available() else "settrace"
-    if backend == "ctrace":
-        module = _CtraceBackend.load()
-        if module is None:
-            raise ValueError(
-                "ctrace backend requested but the _bvf_ctrace extension "
-                "could not be built or imported"
-            )
-        return _CtraceBackend(module)
-    if backend == "monitoring":
-        if not _MonitoringBackend.available():
-            raise ValueError(
-                "sys.monitoring backend requested but unavailable "
-                f"on Python {sys.version_info.major}.{sys.version_info.minor}"
-            )
-        return _MonitoringBackend()
-    if backend == "settrace":
-        return _SettraceBackend()
-    raise ValueError(f"unknown coverage backend {backend!r}")
 
 
 class VerifierCoverage:
     """Accumulates edge coverage of the verifier across many runs."""
 
-    def __init__(self, backend: str = "auto") -> None:
+    def __init__(self) -> None:
         #: all unique edges ever observed
         self.edges: set[int] = set()
-        #: edges observed during the current collection window
-        self._window: set[int] = set()
         #: edges the most recent window newly contributed
         self.last_new = 0
-        self._backend = _make_backend(backend)
-        self._collecting = False
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     # --- collection API ----------------------------------------------------------
 
     @contextmanager
     def collect(self):
-        """Trace verifier execution inside the ``with`` block.
+        """Record the verifier's block edges inside the ``with`` block.
 
         Yields the per-window edge set; new edges are merged into the
-        cumulative set on exit.  Nesting ``collect()`` raises
-        :class:`CoverageReentryError` — a silent nested window would
-        clobber the outer window and miscount ``last_new``.
+        cumulative set on exit.  Opening a window while one is open
+        raises :class:`CoverageReentryError`.  The first window of a
+        process installs the probes (:func:`install_probes`).
         """
-        if self._collecting:
+        global _WINDOW_OPEN
+        if _WINDOW_OPEN:
             raise CoverageReentryError(
                 "VerifierCoverage.collect() is not re-entrant: a "
-                "collection window is already active on this instance"
+                "collection window is already open in this process"
             )
-        self._collecting = True
-        self._window = set()
-        self._backend.start(self._window)
+        install_probes()
+        window: set[int] = set()
+        _WINDOW_OPEN = True
+        _set_window(window)
         try:
-            yield self._window
+            yield window
         finally:
-            self._backend.stop()
-            self.last_new = len(self._window - self.edges)
-            self.edges |= self._window
-            self._collecting = False
+            _set_window(None)
+            _WINDOW_OPEN = False
+            self.last_new = len(window - self.edges)
+            self.edges |= window
 
     def replay(self, window: Iterable[int]) -> None:
-        """Apply a previously recorded collection window without tracing.
+        """Apply a previously recorded collection window without probes.
 
         Updates ``last_new`` — the corpus feedback signal — and the
         cumulative edge set exactly as a :meth:`collect` block that
-        traced the recorded edges would.  The benchmark's span tracer
+        recorded the same edges would.  The benchmark's span tracer
         (``perfbench/spans.py``) wraps this method by name.
         """
-        if self._collecting:
+        if _WINDOW_OPEN:
             raise CoverageReentryError(
                 "VerifierCoverage.replay() inside an active collection "
                 "window would corrupt the window's last_new accounting"

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.differential import merge_divergences
 from repro.fuzz.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.fuzz.corpus import specs_of
+from repro.fuzz.coverage import install_probes
 from repro.fuzz.oracle import BugFinding
 from repro.fuzz.rng import derive_seed
 from repro.obs.frontier import merge_frontiers, shift_frontier
@@ -412,6 +413,9 @@ class ParallelCampaign:
                 },
             )
 
+        if self.config.collect_coverage:
+            # Instrument once, here: forked workers inherit the probes.
+            install_probes()
         if workers <= 1 or len(plan) <= 1:
             _worker_init()
             shard_results = [_run_shard(payload) for payload in plan]

@@ -1,6 +1,11 @@
-"""Corpus management and coverage-tracer tests."""
+"""Corpus management and verifier-coverage tests."""
 
 from __future__ import annotations
+
+import importlib
+import inspect
+import linecache
+from types import CodeType, FunctionType
 
 import pytest
 
@@ -12,7 +17,12 @@ from repro.ebpf.opcodes import Reg
 from repro.ebpf.program import BpfProgram, ProgType
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.corpus import Corpus, MapSpec, specs_of
-from repro.fuzz.coverage import CoverageReentryError, VerifierCoverage
+from repro.errors import VerifierReject
+from repro.fuzz.coverage import (
+    CoverageReentryError,
+    VerifierCoverage,
+    install_probes,
+)
 from repro.fuzz.rng import FuzzRng
 from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
 
@@ -130,38 +140,81 @@ class TestCoverage:
         self._verify_once(cov)
         assert cov.edge_count > 0
 
-    def test_backend_selection(self):
-        import sys
+    def test_scope_modules_carry_probes(self):
+        """Every function of the decision modules is instrumented, and no
+        function of the data-structure modules is, so the tnum memo and
+        the copy-on-write clones stay invisible to coverage."""
+        install_probes()
+        for name in ("branches", "calls", "checks", "core"):
+            codes = _function_codes(importlib.import_module(
+                f"repro.verifier.{name}"))
+            assert codes
+            bare = [c.co_qualname for c in codes if not _has_probes(c)]
+            assert bare == [], f"{name}: uninstrumented {bare}"
+        for name in ("tnum", "state", "stack", "env"):
+            codes = _function_codes(importlib.import_module(
+                f"repro.verifier.{name}"))
+            assert codes
+            assert not any(_has_probes(c) for c in codes), name
 
-        assert VerifierCoverage().backend_name in (
-            "ctrace",
-            "settrace",
-            "monitoring",
-        )
-        assert VerifierCoverage(backend="settrace").backend_name == "settrace"
-        if hasattr(sys, "monitoring"):
-            cov = VerifierCoverage(backend="monitoring")
-            assert cov.backend_name == "monitoring"
-            self._verify_once(cov)
-            assert cov.edge_count > 0
-        else:
-            with pytest.raises(ValueError):
-                VerifierCoverage(backend="monitoring")
-        with pytest.raises(ValueError):
-            VerifierCoverage(backend="dtrace")
+    def test_load_outside_window_records_nothing(self):
+        insns = [
+            asm.st_mem(asm.Size.DW, Reg.R10, -8, 1),
+            asm.ldx_mem(asm.Size.DW, Reg.R0, Reg.R10, -8),
+            asm.exit_insn(),
+        ]
+        cov = VerifierCoverage()
+        with cov.collect() as window:
+            Kernel(PROFILES["patched"]()).prog_load(BpfProgram(insns=insns))
+        before = cov.snapshot_edges()
+        assert window == before
+        kernel = Kernel(PROFILES["patched"]())
+        kernel.prog_load(BpfProgram(insns=insns))
+        kernel.prog_load(BpfProgram(insns=[asm.mov64_imm(Reg.R0, 0),
+                                           asm.exit_insn()]))
+        assert window == before
+        assert cov.snapshot_edges() == before
+        again = VerifierCoverage()
+        self._verify_once(again, insns)
+        assert again.snapshot_edges() == before
 
-    def test_ctrace_settrace_parity(self):
-        """The C tracer must report bit-identical edges to settrace."""
-        from repro.fuzz.coverage import _load_ctrace
+    def test_exception_reports_original_line(self):
+        """Probes carry their statement's location: a rejection raised
+        inside an instrumented method points at its ``raise``."""
+        from repro.verifier.core import Verifier
 
-        if not _load_ctrace():
-            pytest.skip("C tracer extension unavailable")
-        fast = VerifierCoverage(backend="ctrace")
-        slow = VerifierCoverage(backend="settrace")
-        for cov in (fast, slow):
-            self._verify_once(cov)
-        assert fast.snapshot_edges() == slow.snapshot_edges()
-        assert fast.edge_count > 0
+        cov = VerifierCoverage()
+        with pytest.raises(VerifierReject) as info:
+            self._verify_once(cov, insns=[asm.exit_insn()])
+        code = Verifier.reject.__code__
+        assert _has_probes(code)
+        frames = [tb for tb in _tracebacks(info.value.__traceback__)
+                  if tb.tb_frame.f_code is code]
+        assert frames
+        raised = linecache.getline(code.co_filename, frames[-1].tb_lineno)
+        assert raised.strip().startswith("raise VerifierReject(")
+        source, _ = inspect.findsource(Verifier)
+        def_line = next(i + 1 for i, text in enumerate(source)
+                        if text.strip().startswith("def reject("))
+        assert code.co_firstlineno == def_line
+        body, start = inspect.getsourcelines(Verifier.reject)
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        assert lines <= set(range(start, start + len(body)))
+
+    def test_install_twice_is_noop(self):
+        from repro.verifier import core
+
+        install_probes()
+        codes = _function_codes(core)
+        cov = VerifierCoverage()
+        self._verify_once(cov)
+        install_probes()
+        after = _function_codes(core)
+        assert len(after) == len(codes)
+        assert all(a is b for a, b in zip(codes, after))
+        again = VerifierCoverage()
+        self._verify_once(again)
+        assert again.snapshot_edges() == cov.snapshot_edges()
 
     def test_replay_marks_new_edges(self):
         cov = VerifierCoverage()
@@ -240,3 +293,43 @@ def _collect_edges_in_child():
             BpfProgram(insns=[asm.mov64_imm(Reg.R0, 0), asm.exit_insn()])
         )
     return cov.snapshot_edges()
+
+
+def _has_probes(code: CodeType) -> bool:
+    return "_bvf_cov_window" in code.co_names
+
+
+def _function_codes(module) -> list[CodeType]:
+    """Codes of every function defined in ``module``, nested ones too:
+    module functions, methods, properties, static and class methods.
+    Comprehensions and lambdas hold no statements, so no probes."""
+    found: list[CodeType] = []
+
+    def add(obj) -> None:
+        if isinstance(obj, (staticmethod, classmethod)):
+            obj = obj.__func__
+        if isinstance(obj, property):
+            for accessor in (obj.fget, obj.fset, obj.fdel):
+                add(accessor)
+        elif isinstance(obj, type) and obj.__module__ == module.__name__:
+            for attr in vars(obj).values():
+                add(attr)
+        elif (isinstance(obj, FunctionType)
+              and obj.__code__.co_filename == module.__file__):
+            nested(obj.__code__)
+
+    def nested(code: CodeType) -> None:
+        found.append(code)
+        for const in code.co_consts:
+            if isinstance(const, CodeType) and not const.co_name.startswith("<"):
+                nested(const)
+
+    for obj in vars(module).values():
+        add(obj)
+    return found
+
+
+def _tracebacks(tb):
+    while tb is not None:
+        yield tb
+        tb = tb.tb_next
