@@ -51,6 +51,12 @@ more than ``--max-repair-rate-drop`` **relative** to the previous
 run.  Campaigns are seed-deterministic, so a falling rate means a
 patch template, the CFG/dataflow layer, or the provenance pass
 regressed — not that the workload changed.
+
+Each real subscriber's enabled overhead (``observer.enabled`` from
+``test_observer_overhead``: checker, flight recorder, profiler, repair
+feedback) is printed previous -> current.  It is informational, not a
+gate — opt-in diagnostics may cost what they cost — but it makes a
+drop or a regression in their cost visible in the CI log.
 """
 
 from __future__ import annotations
@@ -187,6 +193,22 @@ def check_repair_rate(previous: dict, current: dict,
     return True
 
 
+def report_subscriber_overheads(previous: dict, current: dict) -> None:
+    """Print each ``observer.enabled`` subscriber's overhead, previous
+    -> current.  Informational only: nothing here fails the check."""
+    prev = (previous.get("observer") or {}).get("enabled") or {}
+    cur = (current.get("observer") or {}).get("enabled") or {}
+
+    def overhead(section: dict, name: str) -> str:
+        value = (section.get(name) or {}).get("overhead")
+        return "absent" if value is None else f"{value:+.1%}"
+
+    for name in sorted(set(prev) | set(cur)):
+        print(f"trajectory: {name} enabled overhead "
+              f"{overhead(prev, name)} -> {overhead(cur, name)} "
+              f"(not gated)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--previous", required=True,
@@ -250,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                             args.max_hit_rate_drop)
     ok &= check_repair_rate(previous_payload, current_payload,
                             args.max_repair_rate_drop)
+    report_subscriber_overheads(previous_payload, current_payload)
     if not ok:
         return 1
     print("trajectory: OK")

@@ -79,15 +79,18 @@ class CampaignConfig:
     #: run the :class:`~repro.verifier.sanity.VStateChecker` at
     #: verifier checkpoints (off = zero-cost hot path)
     check_invariants: bool = False
-    #: record verifier decision events in the flight recorder
-    #: (:mod:`repro.obs.events`) and attach a rejection explanation per
-    #: taxonomy reason (:mod:`repro.obs.explain`); off = zero-cost
+    #: record the primary load's verifier decision events in the
+    #: flight recorder (:mod:`repro.obs.events`) and attach a rejection
+    #: explanation per taxonomy reason (:mod:`repro.obs.explain`).  The
+    #: recorder observes only the primary ``prog_load`` of each
+    #: iteration, the one load whose ring is read; differential, triage
+    #: and repair verifications run without it.  Off = zero-cost
     flight: bool = False
     #: attempt a verified minimal repair for every rejection
     #: (:mod:`repro.analysis.repair`) and feed accepted repairs back
-    #: into the mutation corpus; implies the flight recorder (the
-    #: failing-instruction attribution comes from the decision ring).
-    #: Off = zero-cost hot path.
+    #: into the mutation corpus; implies the flight recorder on the
+    #: primary load (the failing-instruction index comes from the
+    #: ring's ``verdict`` record).  Off = zero-cost hot path.
     repair_feedback: bool = False
     #: run the hierarchical verifier profiler
     #: (:mod:`repro.obs.profile`); off = zero-cost hot path
@@ -253,6 +256,8 @@ class Campaign:
         # oracle instrumentation lands in *this* shard's snapshot.  The
         # clock is the single phase timer — every phase duration is
         # accumulated exactly once, in its context manager's exit.
+        # The flight recorder is not among them: _load adds it around
+        # the primary load only, the one load whose ring is read.
         registry = obs.MetricsRegistry()
         recorder = (
             obs.JsonlTraceRecorder(self.config.trace_path)
@@ -271,7 +276,6 @@ class Campaign:
         # prog_load(check_invariants=...), not here, so triage and
         # repair re-verifications stay unchecked.
         observer = obs.compose(
-            flight,
             profiler,
             obs.VerifierTrace(recorder) if recorder.enabled else None,
         )
@@ -498,15 +502,19 @@ class Campaign:
         iteration: int,
     ) -> None:
         """Spill the flight ring for a rejection and keep one
-        explanation per taxonomy reason (the earliest iteration)."""
-        events = self._flight.snapshot()
+        explanation per taxonomy reason (the earliest iteration).  The
+        ring is rendered only when the trace or a new reason reads it."""
         rec = obs.recorder()
+        explained = reason in result.reject_explanations
+        if explained and not rec.enabled:
+            return
+        events = self._flight.snapshot()
         if rec.enabled:
             # Interesting outcome: spill the decision ring to the trace
             # stream so post-hoc analysis sees the full last-K window.
             rec.event("verifier.flight", reason=reason, errno=errno,
                       events=events)
-        if reason in result.reject_explanations:
+        if explained:
             return
         from repro.obs.explain import explain_events
 
@@ -545,14 +553,7 @@ class Campaign:
 
         result.repairs_attempted[reason] += 1
         obs.metrics().counter("campaign.repair.attempted")
-        insn_idx = 0
-        for event in reversed(self._flight.snapshot()):
-            if (
-                event.get("kind") == "verdict"
-                and event.get("verdict") != "accept"
-            ):
-                insn_idx = max(event.get("insn", 0), 0)
-                break
+        insn_idx = max(self._flight.rejected_at() or 0, 0)
         sanitize = self.config.sanitize and kernel.config.sanitizer_available
         repair = synthesize_repair(
             kernel, prog,
@@ -609,6 +610,12 @@ class Campaign:
         prof = self._profiler
         if prof is not None:
             prof.push("verify")
+        # The flight recorder joins the current observer for this load
+        # only: the primary load's ring is the one _reject reads.
+        token = None
+        if self._flight is not None:
+            token = obs.install(obs.metrics(), obs.recorder(),
+                                obs.compose(self._flight, obs.observer()))
         try:
             if self.config.collect_coverage:
                 with self.coverage.collect():
@@ -617,6 +624,8 @@ class Campaign:
             return kernel.prog_load(prog, sanitize=sanitize,
                                     check_invariants=check)
         finally:
+            if token is not None:
+                obs.restore(token)
             if prof is not None:
                 prof.pop()
 

@@ -37,10 +37,12 @@ Events are delivered positionally.
 The **flight recorder** keeps the last N decisions as plain dicts in a
 ring reset per verification, so an interesting outcome (reject,
 invariant violation) can spill its decision history into the trace and
-:mod:`repro.obs.explain` can reconstruct *why*.  Records carry a
-per-verification ``seq`` and no timestamps, and registers render via
-their stable ``str`` form, so identical inputs record identical events
-— what makes explanations worker-count invariant.
+:mod:`repro.obs.explain` can reconstruct *why*.  Records hold the raw
+registers and are rendered only by :meth:`FlightRecorder.snapshot`,
+so a verification whose ring nobody reads pays no rendering.  Records
+carry a per-verification ``seq`` and no timestamps, and registers
+render via their stable ``str`` form, so identical inputs record
+identical events — what makes explanations worker-count invariant.
 
 This module must stay dependency-free (stdlib only): it is imported by
 ``repro.obs.__init__``, which the verifier itself imports.
@@ -126,18 +128,28 @@ def compose(*subscribers):
     return FanOut(flat)
 
 
-def reg_summary(state) -> dict[str, str]:
-    """Stable text rendering of the initialised registers of a state.
+def reg_summary(regs) -> dict[str, str]:
+    """Stable text rendering of the initialised registers R0-R10.
 
     Uses ``RegState.__str__`` (the same form the level-2 verifier log
     prints), so snapshots are deterministic and diffable.
     """
-    regs = state.regs
     return {
         f"R{i}": str(regs[i])
         for i in range(11)
         if regs[i].type.value != "not_init"
     }
+
+
+def _render(record: dict) -> dict:
+    """A copy of one ring record with its raw registers rendered."""
+    event = dict(record)
+    kind = event["kind"]
+    if kind == "step":
+        event["regs"] = reg_summary(event["regs"])
+    elif kind == "refine":
+        event["detail"] = "".join(map(str, event["detail"]))
+    return event
 
 
 class FlightRecorder(Observer):
@@ -146,6 +158,12 @@ class FlightRecorder(Observer):
     Record kinds: ``begin``, ``step`` (with the register file the
     explainer shows), ``prune``, ``refine`` (ALU results and forks),
     ``patch`` and ``verdict`` (DESIGN.md §5g has the fields).
+
+    ``step`` and ``refine`` records keep the register objects
+    themselves, marked ``shared`` — the copy-on-write discipline of
+    ``FuncFrame.clone`` — so the verifier clones a recorded register
+    before it next writes it instead of changing what was recorded.
+    :meth:`snapshot` renders them.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -170,8 +188,12 @@ class FlightRecorder(Observer):
     # -- event kinds --------------------------------------------------------
 
     def step(self, idx, insn, state) -> None:
-        self._push({"kind": "step", "insn": idx, "regs": reg_summary(state),
-                    "frames": len(state.frames)})
+        frames = state.frames
+        regs = frames[-1].regs[:11]
+        for reg in regs:
+            reg.shared = True
+        self._push({"kind": "step", "insn": idx, "regs": regs,
+                    "frames": len(frames)})
 
     def prune(self, idx, point, outcome) -> None:
         self._push(
@@ -180,16 +202,17 @@ class FlightRecorder(Observer):
 
     def branch(self, idx, insn, taken_dst, else_dst) -> None:
         if taken_dst is not None:
-            self._refine(idx, f"R{insn.dst}", f"{insn.jmp_op.name} "
-                         f"taken:{taken_dst} else:{else_dst}")
+            taken_dst.shared = else_dst.shared = True
+            self._refine(idx, insn, (insn.jmp_op.name, " taken:", taken_dst,
+                                     " else:", else_dst))
 
     def refine(self, idx, insn, dst) -> None:
-        self._refine(idx, f"R{insn.dst}", f"{insn.alu_op.name} -> {dst}")
+        dst.shared = True
+        self._refine(idx, insn, (insn.alu_op.name, " -> ", dst))
 
-    def _refine(self, idx: int, reg: str, detail: str) -> None:
-        self._push(
-            {"kind": "refine", "insn": idx, "reg": reg, "detail": detail}
-        )
+    def _refine(self, idx: int, insn, detail: tuple) -> None:
+        self._push({"kind": "refine", "insn": idx, "reg": f"R{insn.dst}",
+                    "detail": detail})
 
     def patch(self, idx, kind, value) -> None:
         if kind == "alu_limit":
@@ -216,5 +239,14 @@ class FlightRecorder(Observer):
     # -- output -------------------------------------------------------------
 
     def snapshot(self) -> list[dict]:
-        """The recorded events, oldest first (copies, safe to keep)."""
-        return [dict(event) for event in self._ring]
+        """The recorded events, oldest first, registers rendered
+        (copies, safe to keep)."""
+        return [_render(event) for event in self._ring]
+
+    def rejected_at(self) -> int | None:
+        """The ``insn`` of the last non-accept ``verdict`` record, read
+        without rendering anything; ``None`` when the ring has none."""
+        for event in reversed(self._ring):
+            if event["kind"] == "verdict" and event["verdict"] != "accept":
+                return event["insn"]
+        return None

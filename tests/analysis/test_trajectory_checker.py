@@ -121,6 +121,31 @@ def test_observer_enabled_costs_are_not_gated(checker, tmp_path):
     assert checker.main(["--previous", prev, "--current", str(path)]) == 0
 
 
+def test_subscriber_overheads_printed_not_gated(checker, tmp_path, capsys):
+    # Each real subscriber's cost is reported previous -> current, and
+    # even a large rise fails nothing.
+    paths = []
+    for name, enabled in (
+        ("prev.json", {"flight_recorder": {"overhead": 0.3019},
+                       "repair_feedback": {"overhead": 0.6737}}),
+        ("cur.json", {"flight_recorder": {"overhead": 0.05},
+                      "repair_feedback": {"overhead": 0.95},
+                      "profiler": {"overhead": 0.12}}),
+    ):
+        path = tmp_path / name
+        write_bench(path, 100.0, observer_overhead=0.01)
+        payload = json.loads(path.read_text())
+        payload["observer"]["enabled"] = enabled
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    prev, cur = paths
+    assert checker.main(["--previous", prev, "--current", cur]) == 0
+    out = capsys.readouterr().out
+    assert "flight_recorder enabled overhead +30.2% -> +5.0%" in out
+    assert "repair_feedback enabled overhead +67.4% -> +95.0%" in out
+    assert "profiler enabled overhead absent -> +12.0%" in out
+
+
 def test_repair_rate_small_drop_passes(checker, tmp_path):
     # 0.90 -> 0.80 is an 11% relative drop, inside the 20% default.
     prev = write_bench(tmp_path / "prev.json", 100.0, repair_rate=0.90)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.fuzz.campaign import Campaign, CampaignConfig, make_generator
 from repro.fuzz.rng import FuzzRng
 from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
+from repro.obs.events import FlightRecorder
 
 
 class TestCampaign:
@@ -73,3 +75,67 @@ class TestCampaign:
         ).run()
         assert result.final_coverage == 0
         assert result.generated == 25
+
+
+class _CountingRecorder(FlightRecorder):
+    def __init__(self) -> None:
+        super().__init__()
+        self.begins = 0
+
+    def begin(self, program, n_insns=0) -> None:
+        self.begins += 1
+        super().begin(program, n_insns)
+
+
+class _EveryLoadFlight(Campaign):
+    """The wiring the recorder used to have: ``run`` installs it
+    process-wide (the test patches ``obs.install`` for that), so every
+    verification of the run feeds the ring, not just the primary one."""
+
+    def _load(self, kernel, prog):
+        flight, self._flight = self._flight, None
+        try:
+            return super()._load(kernel, prog)
+        finally:
+            self._flight = flight
+
+
+class TestFlightScope:
+    CONFIG = CampaignConfig(tool="bvf", kernel_version="bpf-next", budget=80,
+                            seed=3, differential=True, repair_feedback=True)
+
+    def _run(self, monkeypatch, campaign_class):
+        recorders: list[_CountingRecorder] = []
+
+        def make_recorder():
+            recorders.append(_CountingRecorder())
+            return recorders[-1]
+
+        campaign = campaign_class(self.CONFIG)
+        with monkeypatch.context() as patch:
+            patch.setattr(obs, "FlightRecorder", make_recorder)
+            if campaign_class is _EveryLoadFlight:
+                install = obs.install
+
+                def install_with_flight(registry=None, trace_recorder=None,
+                                        observer=None):
+                    return install(registry, trace_recorder,
+                                   obs.compose(campaign._flight, observer))
+
+                patch.setattr(obs, "install", install_with_flight)
+            result = campaign.run()
+        (recorder,) = recorders
+        return result, recorder.begins
+
+    def test_recorder_sees_only_the_primary_load(self, monkeypatch):
+        result, begins = self._run(monkeypatch, Campaign)
+        wide, wide_begins = self._run(monkeypatch, _EveryLoadFlight)
+        assert begins == self.CONFIG.budget
+        # Differential, triage and repair verifications fed the ring too.
+        assert wide_begins > begins
+        assert result.reject_explanations
+        assert sum(result.repairs_verified.values()) > 0
+        assert result.reject_explanations == wide.reject_explanations
+        assert result.repairs_attempted == wide.repairs_attempted
+        assert result.repairs_verified == wide.repairs_verified
+        assert result.repair_examples == wide.repair_examples

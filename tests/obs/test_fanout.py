@@ -7,6 +7,12 @@ abstract-state checker through a :class:`~repro.obs.events.FanOut`.
 Per program, the flight recorder's events must be equal event for
 event, the profiler's ``counts`` must be equal, and the verdict must be
 the same all three ways.
+
+The flight recorder renders registers only when its ring is read, so
+the same programs also run under a reference recorder that renders
+them when each event arrives: the two rings must be equal event for
+event, which holds only while the recorder keeps the verifier from
+writing a register it recorded.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from repro.fuzz.generator import StructuredGenerator
 from repro.fuzz.rng import FuzzRng
 from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
-from repro.obs.events import FanOut, FlightRecorder
+from repro.obs.events import FanOut, FlightRecorder, reg_summary
 from repro.obs.profile import VerifierProfiler, strip_profile_wall
 from repro.testsuite import all_selftests_extended
 from repro.verifier.sanity import VStateChecker
@@ -109,3 +115,45 @@ def test_checker_joins_the_installed_observer():
     first, second, checker = verifier.observer.subscribers
     assert (first, second) == (flight, profiler)
     assert isinstance(checker, VStateChecker)
+
+
+class _EagerRecorder(FlightRecorder):
+    """The reference: renders registers when each event arrives, and
+    marks nothing ``shared``."""
+
+    def step(self, idx, insn, state) -> None:
+        self._push({"kind": "step", "insn": idx,
+                    "regs": reg_summary(state.regs),
+                    "frames": len(state.frames)})
+
+    def branch(self, idx, insn, taken_dst, else_dst) -> None:
+        if taken_dst is not None:
+            self._push({"kind": "refine", "insn": idx, "reg": f"R{insn.dst}",
+                        "detail": f"{insn.jmp_op.name} taken:{taken_dst} "
+                                  f"else:{else_dst}"})
+
+    def refine(self, idx, insn, dst) -> None:
+        self._push({"kind": "refine", "insn": idx, "reg": f"R{insn.dst}",
+                    "detail": f"{insn.alu_op.name} -> {dst}"})
+
+    def snapshot(self) -> list[dict]:
+        return [dict(event) for event in self._ring]
+
+
+def test_snapshot_renders_what_the_step_saw():
+    lazy, eager = FlightRecorder(), _EagerRecorder()
+    token = obs.install(None, None, obs.compose(lazy, eager))
+    kinds = set()
+    try:
+        for kernel, prog in _programs():
+            try:
+                kernel.prog_load(
+                    prog, sanitize=kernel.config.sanitizer_available)
+            except BpfError:
+                pass
+            expected = eager.snapshot()
+            assert lazy.snapshot() == expected, prog.name
+            kinds.update(event["kind"] for event in expected)
+    finally:
+        obs.restore(token)
+    assert {"step", "refine", "verdict"} <= kinds
