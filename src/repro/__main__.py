@@ -57,7 +57,49 @@ from repro.testsuite import all_selftests_extended as all_selftests
 __all__ = ["main"]
 
 
-def _emit_metrics(result, args: argparse.Namespace) -> None:
+def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    """The campaign ``fuzz`` and ``campaign`` run, from their arguments."""
+    return CampaignConfig(
+        tool=args.tool,
+        kernel_version=args.kernel,
+        budget=args.budget,
+        seed=args.seed,
+        sanitize=not args.no_sanitize,
+        trace_path=args.trace,
+        differential=args.differential,
+        check_invariants=args.check_invariants,
+        flight=args.flight,
+        profile=args.profile,
+        repair_feedback=args.repair_feedback,
+        plateau_window=args.plateau_window,
+        heartbeat_dir=args.heartbeat_dir,
+        heartbeat_every=args.heartbeat_every,
+    )
+
+
+def _print_outcome(result, args: argparse.Namespace) -> None:
+    """Bug table, divergences, triage reports and artifact notes."""
+    print("\n" + render_bug_table(result.findings))
+    if result.config.differential:
+        divergences = result.divergences
+        by_cls: dict[str, int] = {}
+        for div in divergences.values():
+            cls = div.get("classification", "unexplained")
+            by_cls[cls] = by_cls.get(cls, 0) + 1
+        breakdown = " ".join(f"{c}={n}" for c, n in sorted(by_cls.items()))
+        print(f"\ncross-version divergences: {len(divergences)}"
+              + (f" ({breakdown})" if breakdown else ""))
+        for div in divergences.values():
+            print(f"  {div['kind']:<8} {div['profile_a']} vs "
+                  f"{div['profile_b']}: {div['classification']} "
+                  f"[{div['explanation']}] iteration {div['iteration']}")
+    if args.triage and result.findings:
+        kernel_config = PROFILES[args.kernel]()
+        # Discovery order: by (global) iteration.
+        for finding in sorted(result.findings.values(),
+                              key=lambda f: f.iteration):
+            print()
+            print(triage_finding(finding, kernel_config).render())
     if args.metrics:
         write_artifact(build_artifact(result), args.metrics)
         print(f"metrics artifact written to {args.metrics}")
@@ -65,79 +107,25 @@ def _emit_metrics(result, args: argparse.Namespace) -> None:
         print(f"trace written to {args.trace}*")
 
 
-def _print_divergences(result) -> None:
-    divergences = getattr(result, "divergences", {})
-    if not getattr(result.config, "differential", False):
-        return
-    by_cls: dict[str, int] = {}
-    for div in divergences.values():
-        cls = div.get("classification", "unexplained")
-        by_cls[cls] = by_cls.get(cls, 0) + 1
-    breakdown = " ".join(f"{c}={n}" for c, n in sorted(by_cls.items()))
-    print(f"\ncross-version divergences: {len(divergences)}"
-          + (f" ({breakdown})" if breakdown else ""))
-    for div in divergences.values():
-        print(f"  {div['kind']:<8} {div['profile_a']} vs {div['profile_b']}: "
-              f"{div['classification']} [{div['explanation']}] "
-              f"iteration {div['iteration']}")
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    config = CampaignConfig(
-        tool=args.tool,
-        kernel_version=args.kernel,
-        budget=args.budget,
-        seed=args.seed,
-        sanitize=not args.no_sanitize,
-        trace_path=args.trace,
-        differential=args.differential,
-        check_invariants=args.check_invariants,
-        flight=args.flight,
-        profile=args.profile,
-        repair_feedback=args.repair_feedback,
-        plateau_window=args.plateau_window,
-        heartbeat_dir=args.heartbeat_dir,
-        heartbeat_every=args.heartbeat_every,
-    )
     print(
         f"fuzzing {args.kernel} with {args.tool}: {args.budget} programs, "
         f"seed {args.seed}"
     )
-    result = Campaign(config).run()
+    result = Campaign(_campaign_config(args)).run()
     print(
         f"\naccepted {result.accepted}/{result.generated} "
         f"({result.acceptance_rate:.1%}); verifier coverage "
         f"{result.final_coverage} edges; corpus {result.corpus_size}"
     )
-    print("\n" + render_bug_table(result.findings))
-    _print_divergences(result)
-    if args.triage and result.findings:
-        kernel_config = PROFILES[args.kernel]()
-        for finding in result.findings.values():
-            print()
-            print(triage_finding(finding, kernel_config).render())
-    _emit_metrics(result, args)
+    _print_outcome(result, args)
     return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    config = CampaignConfig(
-        tool=args.tool,
-        kernel_version=args.kernel,
-        budget=args.budget,
-        seed=args.seed,
-        sanitize=not args.no_sanitize,
-        trace_path=args.trace,
-        differential=args.differential,
-        check_invariants=args.check_invariants,
-        flight=args.flight,
-        profile=args.profile,
-        repair_feedback=args.repair_feedback,
-        plateau_window=args.plateau_window,
-        heartbeat_dir=args.heartbeat_dir,
-        heartbeat_every=args.heartbeat_every,
+    engine = ParallelCampaign(
+        _campaign_config(args), workers=args.workers, shards=args.shards
     )
-    engine = ParallelCampaign(config, workers=args.workers, shards=args.shards)
     print(
         f"campaign on {args.kernel} with {args.tool}: {args.budget} programs "
         f"over {engine.shards} shards x {engine.workers} workers, "
@@ -157,14 +145,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"verify {throughput.verify_fraction:.0%} / "
         f"execute {throughput.execute_fraction:.0%} of busy time)"
     )
-    print("\n" + render_bug_table(result.findings))
-    _print_divergences(result)
-    if args.triage and result.findings:
-        kernel_config = PROFILES[args.kernel]()
-        for finding in result.findings.values():
-            print()
-            print(triage_finding(finding, kernel_config).render())
-    _emit_metrics(result, args)
+    _print_outcome(result, args)
     return 0
 
 
@@ -210,15 +191,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.explain import (
-        build_selftest,
-        describe_accepted,
-        explain_program,
-        replay_iteration,
-    )
+def _resolve_program(args: argparse.Namespace):
+    """The program ``explain`` and ``repair`` work on: a selftest by name,
+    or a campaign iteration replayed from ``--tool``/``--seed``.
 
-    gp = None
+    Returns ``(kernel, gp, prog, sanitize, subject)``, where ``gp`` is
+    the generated program (None for a selftest), or ``None`` after a
+    stderr note when no selftest has that name.
+    """
+    from repro.obs.explain import build_selftest, replay_iteration
+
     if args.program.isdigit():
         config = CampaignConfig(
             tool=args.tool,
@@ -231,25 +213,21 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         sanitize = config.sanitize and kernel.config.sanitizer_available
         subject = (f"iteration {args.program} "
                    f"(tool={args.tool} seed={args.seed})")
-    else:
-        kernel = Kernel(PROFILES[args.kernel]())
-        try:
-            prog = build_selftest(args.program, kernel)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        sanitize = args.sanitize
-        subject = f"selftest {args.program!r}"
-    explanation = explain_program(kernel, prog, sanitize=sanitize)
+        return kernel, gp, prog, sanitize, subject
+    kernel = Kernel(PROFILES[args.kernel]())
+    try:
+        prog = build_selftest(args.program, kernel)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    return kernel, None, prog, args.sanitize, f"selftest {args.program!r}"
 
-    if explanation is None:
-        print(f"{subject} accepted on {args.kernel} — nothing to explain")
-        print(describe_accepted(subject, args.kernel, prog=prog, gp=gp))
-        return 0
 
+def _repair_of(kernel, prog, explanation, sanitize: bool):
+    """The verified minimal repair for an explained rejection, or None."""
     from repro.analysis.repair import synthesize_repair
 
-    repair = synthesize_repair(
+    return synthesize_repair(
         kernel,
         prog,
         reason=explanation.reason,
@@ -257,6 +235,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         insn_idx=explanation.insn_idx,
         sanitize=sanitize,
     )
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.obs.explain import describe_accepted, explain_program
+
+    resolved = _resolve_program(args)
+    if resolved is None:
+        return 1
+    kernel, gp, prog, sanitize, subject = resolved
+    explanation = explain_program(kernel, prog, sanitize=sanitize)
+
+    if explanation is None:
+        print(f"{subject} accepted on {args.kernel} — nothing to explain")
+        print(describe_accepted(subject, args.kernel, prog=prog, gp=gp))
+        return 0
+
+    repair = _repair_of(kernel, prog, explanation, sanitize)
     if args.json:
         payload = explanation.to_dict()
         payload["repair"] = repair.to_dict() if repair else None
@@ -272,48 +267,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.analysis.repair import render_program, synthesize_repair
-    from repro.obs.explain import (
-        build_selftest,
-        explain_program,
-        replay_iteration,
-    )
+    from repro.analysis.repair import render_program
+    from repro.obs.explain import explain_program
 
-    if args.program.isdigit():
-        config = CampaignConfig(
-            tool=args.tool,
-            kernel_version=args.kernel,
-            budget=0,
-            seed=args.seed,
-            sanitize=args.sanitize,
-        )
-        _, kernel, _, prog = replay_iteration(config, int(args.program))
-        sanitize = config.sanitize and kernel.config.sanitizer_available
-        subject = (f"iteration {args.program} "
-                   f"(tool={args.tool} seed={args.seed})")
-    else:
-        kernel = Kernel(PROFILES[args.kernel]())
-        try:
-            prog = build_selftest(args.program, kernel)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        sanitize = args.sanitize
-        subject = f"selftest {args.program!r}"
-
+    resolved = _resolve_program(args)
+    if resolved is None:
+        return 1
+    kernel, _, prog, sanitize, subject = resolved
     explanation = explain_program(kernel, prog, sanitize=sanitize)
     if explanation is None:
         print(f"{subject} accepted on {args.kernel} — nothing to repair")
         return 1
 
-    repair = synthesize_repair(
-        kernel,
-        prog,
-        reason=explanation.reason,
-        message=explanation.message,
-        insn_idx=explanation.insn_idx,
-        sanitize=sanitize,
-    )
+    repair = _repair_of(kernel, prog, explanation, sanitize)
     if repair is None:
         print(f"{subject} rejected ({explanation.reason}) but no "
               "candidate patch verified as accepted")
@@ -419,7 +385,44 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_flight_args(parser: argparse.ArgumentParser) -> None:
+_TOOLS = ["bvf", "bvf-nostructure", "syzkaller", "buzzer"]
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser,
+                       sharded: bool) -> None:
+    """The arguments of ``fuzz`` and (``sharded``) ``campaign``."""
+    parser.add_argument("--tool", default="bvf", choices=_TOOLS)
+    parser.add_argument("--kernel", default="bpf-next",
+                        choices=list(PROFILES))
+    parser.add_argument("--budget", type=int, default=1000,
+                        help="programs to generate (split across shards)"
+                        if sharded else "programs to generate")
+    parser.add_argument("--seed", type=int, default=0)
+    if sharded:
+        parser.add_argument("--workers", type=int, default=None,
+                            help="worker processes (default: CPU count)")
+        parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
+                            help="logical shards; results depend only on "
+                                 "(seed, budget, shards), never on "
+                                 "--workers")
+    parser.add_argument("--no-sanitize", action="store_true",
+                        help="disable BVF's memory-access sanitation")
+    parser.add_argument("--differential", action="store_true",
+                        help="run every program through the cross-version "
+                             "differential oracle (v5.15/v6.1/bpf-next)")
+    parser.add_argument("--check-invariants", action="store_true",
+                        help="validate verifier abstract-state invariants "
+                             "at checkpoints (VStateChecker)")
+    parser.add_argument("--triage", action="store_true",
+                        help="print a triage report per finding")
+    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="write JSONL traces (one PATH.shardNN file "
+                             "per shard)" if sharded
+                        else "write a JSONL trace of the run to PATH")
+    parser.add_argument("--metrics", metavar="PATH", default=None,
+                        help="write the merged metrics artifact (JSON) to "
+                             "PATH" if sharded
+                        else "write the metrics artifact (JSON) to PATH")
     parser.add_argument("--flight", action="store_true",
                         help="record verifier decision events and attach "
                              "a rejection explanation per taxonomy reason")
@@ -441,6 +444,25 @@ def _add_flight_args(parser: argparse.ArgumentParser) -> None:
                         metavar="N", help="heartbeat cadence in iterations")
 
 
+def _add_program_args(parser: argparse.ArgumentParser, what: str) -> None:
+    """The arguments of ``explain`` and ``repair``."""
+    parser.add_argument(
+        "program",
+        help="a selftest name, or a campaign iteration number "
+             "(replayed deterministically from --tool/--seed)",
+    )
+    parser.add_argument("--kernel", default="patched",
+                        choices=list(PROFILES))
+    parser.add_argument("--tool", default="bvf", choices=_TOOLS,
+                        help="generator for iteration replay")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign seed for iteration replay")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="apply BVF's sanitation before verifying")
+    parser.add_argument("--json", action="store_true",
+                        help=f"emit the {what} as JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -449,62 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
-    fuzz.add_argument("--tool", default="bvf",
-                      choices=["bvf", "bvf-nostructure", "syzkaller", "buzzer"])
-    fuzz.add_argument("--kernel", default="bpf-next", choices=list(PROFILES))
-    fuzz.add_argument("--budget", type=int, default=1000,
-                      help="programs to generate")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--no-sanitize", action="store_true",
-                      help="disable BVF's memory-access sanitation")
-    fuzz.add_argument("--differential", action="store_true",
-                      help="run every program through the cross-version "
-                           "differential oracle (v5.15/v6.1/bpf-next)")
-    fuzz.add_argument("--check-invariants", action="store_true",
-                      help="validate verifier abstract-state invariants "
-                           "at checkpoints (VStateChecker)")
-    fuzz.add_argument("--triage", action="store_true",
-                      help="print a triage report per finding")
-    fuzz.add_argument("--trace", metavar="PATH", default=None,
-                      help="write a JSONL trace of the run to PATH")
-    fuzz.add_argument("--metrics", metavar="PATH", default=None,
-                      help="write the metrics artifact (JSON) to PATH")
-    _add_flight_args(fuzz)
+    _add_campaign_args(fuzz, sharded=False)
     fuzz.set_defaults(func=_cmd_fuzz)
 
     campaign = sub.add_parser(
         "campaign", help="run a sharded campaign across worker processes"
     )
-    campaign.add_argument("--tool", default="bvf",
-                          choices=["bvf", "bvf-nostructure", "syzkaller",
-                                   "buzzer"])
-    campaign.add_argument("--kernel", default="bpf-next",
-                          choices=list(PROFILES))
-    campaign.add_argument("--budget", type=int, default=1000,
-                          help="programs to generate (split across shards)")
-    campaign.add_argument("--seed", type=int, default=0)
-    campaign.add_argument("--workers", type=int, default=None,
-                          help="worker processes (default: CPU count)")
-    campaign.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                          help="logical shards; results depend only on "
-                               "(seed, budget, shards), never on --workers")
-    campaign.add_argument("--no-sanitize", action="store_true",
-                          help="disable BVF's memory-access sanitation")
-    campaign.add_argument("--differential", action="store_true",
-                          help="run every program through the cross-version "
-                               "differential oracle (v5.15/v6.1/bpf-next)")
-    campaign.add_argument("--check-invariants", action="store_true",
-                          help="validate verifier abstract-state invariants "
-                               "at checkpoints (VStateChecker)")
-    campaign.add_argument("--triage", action="store_true",
-                          help="print a triage report per finding")
-    campaign.add_argument("--trace", metavar="PATH", default=None,
-                          help="write JSONL traces (one PATH.shardNN "
-                               "file per shard)")
-    campaign.add_argument("--metrics", metavar="PATH", default=None,
-                          help="write the merged metrics artifact "
-                               "(JSON) to PATH")
-    _add_flight_args(campaign)
+    _add_campaign_args(campaign, sharded=True)
     campaign.set_defaults(func=_cmd_campaign)
 
     report = sub.add_parser(
@@ -528,46 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain", help="explain why the verifier rejected a program"
     )
-    explain.add_argument(
-        "program",
-        help="a selftest name, or a campaign iteration number "
-             "(replayed deterministically from --tool/--seed)",
-    )
-    explain.add_argument("--kernel", default="patched",
-                         choices=list(PROFILES))
-    explain.add_argument("--tool", default="bvf",
-                         choices=["bvf", "bvf-nostructure", "syzkaller",
-                                  "buzzer"],
-                         help="generator for iteration replay")
-    explain.add_argument("--seed", type=int, default=0,
-                         help="campaign seed for iteration replay")
-    explain.add_argument("--sanitize", action="store_true",
-                         help="apply BVF's sanitation before verifying")
-    explain.add_argument("--json", action="store_true",
-                         help="emit the explanation as JSON")
+    _add_program_args(explain, "explanation")
     explain.set_defaults(func=_cmd_explain)
 
     repair = sub.add_parser(
         "repair", help="synthesize and verify a minimal patch that flips "
                        "a rejected program to accepted"
     )
-    repair.add_argument(
-        "program",
-        help="a selftest name, or a campaign iteration number "
-             "(replayed deterministically from --tool/--seed)",
-    )
-    repair.add_argument("--kernel", default="patched",
-                        choices=list(PROFILES))
-    repair.add_argument("--tool", default="bvf",
-                        choices=["bvf", "bvf-nostructure", "syzkaller",
-                                 "buzzer"],
-                        help="generator for iteration replay")
-    repair.add_argument("--seed", type=int, default=0,
-                        help="campaign seed for iteration replay")
-    repair.add_argument("--sanitize", action="store_true",
-                        help="apply BVF's sanitation before verifying")
-    repair.add_argument("--json", action="store_true",
-                        help="emit the repair as JSON")
+    _add_program_args(repair, "repair")
     repair.set_defaults(func=_cmd_repair)
 
     watch = sub.add_parser(

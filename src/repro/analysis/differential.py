@@ -52,7 +52,6 @@ __all__ = [
     "ProfileOutcome",
     "Divergence",
     "DifferentialOracle",
-    "merge_divergences",
 ]
 
 #: The three kernel versions the paper evaluates (Section 6.1).
@@ -266,18 +265,3 @@ class DifferentialOracle:
             )
         return "unexplained", "outcome not reproduced by any registry delta"
 
-
-def merge_divergences(shard_divergences: list[dict[str, dict]]) -> dict[str, dict]:
-    """Fold per-shard divergence maps (key -> dict) deterministically.
-
-    Same contract as the findings merge: dedup by key, keep the
-    occurrence with the earliest **global** iteration, return sorted by
-    key so the merged artifact is worker-count invariant.
-    """
-    merged: dict[str, dict] = {}
-    for shard in shard_divergences:
-        for key, div in shard.items():
-            kept = merged.get(key)
-            if kept is None or div["iteration"] < kept["iteration"]:
-                merged[key] = div
-    return dict(sorted(merged.items()))

@@ -166,6 +166,16 @@ class CampaignResult:
     execute_seconds: float = 0.0
     differential_seconds: float = 0.0
     wall_seconds: float = 0.0
+    #: worker-process bootstrap attributed to this result (a sharded
+    #: run's first shard per worker; 0.0 for serial runs)
+    bootstrap_seconds: float = 0.0
+    #: time to construct the shard's Campaign (0.0 for serial runs)
+    setup_seconds: float = 0.0
+
+    @property
+    def edges(self) -> frozenset[int]:
+        """Every verifier edge seen: the union of the edge samples."""
+        return frozenset().union(*(new for _, new in self.edge_samples))
 
     @property
     def acceptance_rate(self) -> float:

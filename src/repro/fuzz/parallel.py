@@ -8,8 +8,10 @@ reproduction: a campaign's program budget is split into **logical
 shards**, each shard runs a fully isolated serial
 :class:`~repro.fuzz.campaign.Campaign` (own RNG stream, own corpus,
 own coverage accumulator, fresh kernel per iteration — the same
-crash-isolation model), and the picklable per-shard results are merged
-deterministically in the parent.
+crash-isolation model).  A shard's result is the plain
+:class:`~repro.fuzz.campaign.CampaignResult` its campaign returns,
+moved to global iterations by one shift (:func:`_to_global`) and
+folded in the parent by one merge (:func:`merge_shards`).
 
 Two properties make the merged result trustworthy:
 
@@ -20,27 +22,27 @@ Two properties make the merged result trustworthy:
   the same campaign with 1 worker or 16 yields bit-identical merged
   results; ``workers`` is purely a throughput knob.
 - **Stable coverage keys.**  :class:`VerifierCoverage` edge keys are
-  process-independent (no salted hashes), so the union of shard edge
-  sets counts each distinct verifier edge exactly once, and the merged
-  coverage curve keeps the Figure-6 semantics: cumulative unique edges
-  as a function of cumulative programs generated.
+  dense block-site ids, the same in every process, so the union of
+  shard edge sets counts each distinct verifier edge exactly once, and
+  the merged coverage curve keeps the Figure-6 semantics: cumulative
+  unique edges as a function of cumulative programs generated.
 
 Merge rules:
 
-- coverage — union of shard edge sets; the curve interleaves shard
+- coverage — union of shard edge samples; the curve interleaves shard
   samples in cumulative-programs order, unioning each sample's *new*
   edges (shards rediscovering the same edge don't double-count);
-- findings — deduplicated by bug id, keeping the finding with the
-  earliest **global** iteration (shard-local iterations are offset by
-  the shard's start position);
-- counters — errno, rejection-reason, frame-kind, and
-  instruction-class counters sum;
-- metrics — per-shard :mod:`repro.obs` registry snapshots merge via
+- findings, divergences, explanations, repair examples — per key the
+  entry with the earliest **global** iteration wins, sorted by key
+  (:func:`_earliest`);
+- counts, counters and timing — every field in ``_SUMMED`` sums
+  (seconds sum to total CPU work; ``wall_seconds`` is the parent's
+  measured wall clock, which is what shrinks as workers are added);
+- metrics, profile, frontier — per-shard snapshots merge via
   :func:`repro.obs.metrics.merge_snapshots` (counters/histogram
-  buckets sum, gauges max, wall-clock section kept segregated);
-- timing — generate/verify/execute seconds sum over shards (total CPU
-  work); ``wall_seconds`` is the parent's measured wall clock, which
-  is what shrinks as workers are added.
+  buckets sum, gauges max, wall-clock section kept segregated),
+  :func:`~repro.obs.profile.merge_profiles` and
+  :func:`~repro.obs.frontier.merge_frontiers`.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.differential import merge_divergences
 from repro.fuzz.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.fuzz.corpus import specs_of
 from repro.fuzz.coverage import install_probes
@@ -62,7 +62,6 @@ from repro.obs.metrics import merge_snapshots
 from repro.obs.profile import merge_profiles
 
 __all__ = [
-    "ShardResult",
     "ParallelCampaignResult",
     "ParallelCampaign",
     "shard_budgets",
@@ -86,73 +85,13 @@ def _worker_init() -> None:
 
 
 @dataclass
-class ShardResult:
-    """The picklable outcome of one campaign shard."""
-
-    index: int
-    #: first global iteration this shard covers
-    start_iteration: int
-    #: derived seed the shard's FuzzRng ran on
-    seed: int
-    generated: int = 0
-    accepted: int = 0
-    reject_errnos: Counter = field(default_factory=Counter)
-    #: taxonomy reason code -> count (:mod:`repro.obs.taxonomy`)
-    reject_reasons: Counter = field(default_factory=Counter)
-    #: frame kind -> programs generated / accepted containing it
-    frame_generated: Counter = field(default_factory=Counter)
-    frame_accepted: Counter = field(default_factory=Counter)
-    #: the shard's metrics-registry snapshot (plain dicts, picklable)
-    metrics: dict = field(default_factory=dict)
-    #: bug id -> finding, iterations already remapped to global
-    findings: dict[str, BugFinding] = field(default_factory=dict)
-    #: divergence key -> divergence dict, iterations remapped to global
-    #: (:meth:`repro.analysis.differential.Divergence.to_dict` form)
-    divergences: dict[str, dict] = field(default_factory=dict)
-    #: the shard's cumulative verifier edge set
-    edges: frozenset[int] = frozenset()
-    #: (local programs generated, new edges since previous sample)
-    edge_samples: list[tuple[int, frozenset[int]]] = field(default_factory=list)
-    insn_classes: Counter = field(default_factory=Counter)
-    #: taxonomy reason -> first flight-recorder explanation, iteration
-    #: already remapped to global (empty unless ``config.flight``)
-    reject_explanations: dict[str, dict] = field(default_factory=dict)
-    #: taxonomy reason -> repair attempts / verified flips (empty
-    #: unless ``config.repair_feedback``)
-    repairs_attempted: Counter = field(default_factory=Counter)
-    repairs_verified: Counter = field(default_factory=Counter)
-    #: taxonomy reason -> first verified repair, iteration already
-    #: remapped to global
-    repair_examples: dict[str, dict] = field(default_factory=dict)
-    #: the shard's profiler snapshot (empty unless ``config.profile``)
-    profile: dict = field(default_factory=dict)
-    #: the shard's frontier snapshot, iterations already remapped to
-    #: global (empty unless ``config.collect_coverage``)
-    frontier: dict = field(default_factory=dict)
-    corpus_size: int = 0
-    generate_seconds: float = 0.0
-    verify_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    differential_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    #: worker-process bootstrap time attributed to this shard (0.0 for
-    #: every shard after the first one a worker runs)
-    bootstrap_seconds: float = 0.0
-    #: time to construct the shard's Campaign (corpus/coverage setup)
-    setup_seconds: float = 0.0
-
-
-@dataclass
 class ParallelCampaignResult(CampaignResult):
     """A merged campaign result plus the parallel-execution metadata."""
 
     workers: int = 1
     shards: int = 1
-    shard_results: list[ShardResult] = field(default_factory=list)
-    #: summed worker bootstrap time across shards (wall-side telemetry)
-    bootstrap_seconds: float = 0.0
-    #: summed Campaign construction time across shards
-    setup_seconds: float = 0.0
+    #: every shard's own result, iterations already global, by index
+    shard_results: list[CampaignResult] = field(default_factory=list)
 
 
 def shard_budgets(budget: int, shards: int) -> list[int]:
@@ -177,11 +116,36 @@ def _strip_finding(finding: BugFinding) -> BugFinding:
     return finding
 
 
-def _run_shard(payload) -> ShardResult:
+def _to_global(result: CampaignResult, start: int) -> None:
+    """Move a shard's result from shard-local to global iterations.
+
+    Findings, divergences, explanations, repair examples and the
+    frontier shift by the shard's first global iteration.  An
+    explanation also names its program ``{origin}_{iteration}``
+    (:meth:`Campaign._explain_reject`), as does the ``begin`` event in
+    its trail; both are renamed to the global iteration.
+    """
+    for finding in result.findings.values():
+        finding.iteration += start
+    for entries in (result.divergences, result.reject_explanations,
+                    result.repair_examples):
+        for entry in entries.values():
+            entry["iteration"] += start
+    for entry in result.reject_explanations.values():
+        label = entry["program"]
+        entry["program"] = f"{label.rpartition('_')[0]}_{entry['iteration']}"
+        for event in entry["trail"]:
+            if event["kind"] == "begin" and event["program"] == label:
+                event["program"] = entry["program"]
+    result.frontier = shift_frontier(result.frontier, start)
+
+
+def _run_shard(payload) -> CampaignResult:
     """Worker entry point: run one isolated campaign shard.
 
     Module-level (and taking a single tuple) so it pickles under every
-    multiprocessing start method.
+    multiprocessing start method.  Returns the shard's own
+    :class:`CampaignResult` with its iterations made global.
     """
     global _WORKER_T0
     entered = time.perf_counter()
@@ -194,145 +158,79 @@ def _run_shard(payload) -> ShardResult:
     trace_path = config.trace_path
     if trace_path is not None:
         trace_path = f"{trace_path}.shard{index:02d}"
-    shard_config = replace(
+    campaign = Campaign(replace(
         config,
         budget=shard_budget,
         seed=shard_seed,
         trace_path=trace_path,
         shard_index=index,
-    )
-    campaign = Campaign(shard_config)
+    ))
     setup_seconds = time.perf_counter() - entered
     result = campaign.run()
-
-    findings = {}
-    for bug_id, finding in result.findings.items():
-        finding.iteration += start_iteration
-        findings[bug_id] = _strip_finding(finding)
-
-    divergences = {}
-    for key, div in result.divergences.items():
-        div = dict(div)
-        if div.get("iteration", -1) >= 0:
-            div["iteration"] += start_iteration
-        divergences[key] = div
-
-    explanations = {}
-    for reason, entry in result.reject_explanations.items():
-        entry = dict(entry)
-        if entry.get("iteration", -1) >= 0:
-            entry["iteration"] += start_iteration
-        explanations[reason] = entry
-
-    repair_examples = {}
-    for reason, entry in result.repair_examples.items():
-        entry = dict(entry)
-        if entry.get("iteration", -1) >= 0:
-            entry["iteration"] += start_iteration
-        repair_examples[reason] = entry
-
-    metrics = result.metrics
-    if metrics:
-        sums = metrics.setdefault("wall", {}).setdefault("sums", {})
+    result.bootstrap_seconds = bootstrap_seconds
+    result.setup_seconds = setup_seconds
+    if result.metrics:
+        sums = result.metrics.setdefault("wall", {}).setdefault("sums", {})
         sums["worker.bootstrap_seconds"] = bootstrap_seconds
         sums["worker.setup_seconds"] = setup_seconds
+    _to_global(result, start_iteration)
+    for finding in result.findings.values():
+        _strip_finding(finding)
+    return result
 
-    return ShardResult(
-        index=index,
-        start_iteration=start_iteration,
-        seed=shard_seed,
-        generated=result.generated,
-        accepted=result.accepted,
-        reject_errnos=result.reject_errnos,
-        reject_reasons=result.reject_reasons,
-        frame_generated=result.frame_generated,
-        frame_accepted=result.frame_accepted,
-        metrics=metrics,
-        findings=findings,
-        divergences=divergences,
-        edges=campaign.coverage.snapshot_edges(),
-        edge_samples=result.edge_samples,
-        insn_classes=result.insn_classes,
-        reject_explanations=explanations,
-        repairs_attempted=result.repairs_attempted,
-        repairs_verified=result.repairs_verified,
-        repair_examples=repair_examples,
-        profile=result.profile,
-        frontier=shift_frontier(result.frontier, start_iteration),
-        corpus_size=result.corpus_size,
-        generate_seconds=result.generate_seconds,
-        verify_seconds=result.verify_seconds,
-        execute_seconds=result.execute_seconds,
-        differential_seconds=result.differential_seconds,
-        wall_seconds=result.wall_seconds,
-        bootstrap_seconds=bootstrap_seconds,
-        setup_seconds=setup_seconds,
-    )
+
+#: Result fields that add up over shards: counts, Counters (positive
+#: tallies, so ``+`` drops nothing) and summed CPU seconds.
+_SUMMED = (
+    "generated", "accepted", "corpus_size",
+    "reject_errnos", "reject_reasons", "frame_generated", "frame_accepted",
+    "insn_classes", "repairs_attempted", "repairs_verified",
+    "generate_seconds", "verify_seconds", "execute_seconds",
+    "differential_seconds", "bootstrap_seconds", "setup_seconds",
+)
+
+#: Result maps that keep, per key, the entry with the earliest global
+#: iteration fleet-wide.
+_EARLIEST = ("findings", "divergences", "reject_explanations",
+             "repair_examples")
+
+
+def _iteration(entry) -> int:
+    if isinstance(entry, BugFinding):
+        return entry.iteration
+    return entry["iteration"]
+
+
+def _earliest(maps: list[dict]) -> dict:
+    """Fold per-shard maps: the earliest global iteration wins each key
+    (the lower shard index on a tie), sorted by key — so the merge does
+    not depend on shard order or worker packing."""
+    kept: dict = {}
+    for entries in maps:
+        for key, entry in entries.items():
+            if key not in kept or _iteration(entry) < _iteration(kept[key]):
+                kept[key] = entry
+    return dict(sorted(kept.items()))
 
 
 def merge_shards(
     config: CampaignConfig,
-    shard_results: list[ShardResult],
+    shard_results: list[CampaignResult],
     workers: int = 1,
 ) -> ParallelCampaignResult:
     """Deterministically fold shard results into one campaign result."""
-    ordered = sorted(shard_results, key=lambda s: s.index)
+    ordered = sorted(shard_results, key=lambda s: s.config.shard_index)
     merged = ParallelCampaignResult(
         config=config,
         workers=workers,
         shards=len(ordered),
         shard_results=ordered,
     )
-
-    all_edges: set[int] = set()
-    for shard in ordered:
-        merged.generated += shard.generated
-        merged.accepted += shard.accepted
-        merged.reject_errnos.update(shard.reject_errnos)
-        merged.reject_reasons.update(shard.reject_reasons)
-        merged.frame_generated.update(shard.frame_generated)
-        merged.frame_accepted.update(shard.frame_accepted)
-        merged.insn_classes.update(shard.insn_classes)
-        merged.corpus_size += shard.corpus_size
-        merged.generate_seconds += shard.generate_seconds
-        merged.verify_seconds += shard.verify_seconds
-        merged.execute_seconds += shard.execute_seconds
-        merged.differential_seconds += shard.differential_seconds
-        merged.bootstrap_seconds += shard.bootstrap_seconds
-        merged.setup_seconds += shard.setup_seconds
-        all_edges |= shard.edges
-
-        for bug_id, finding in shard.findings.items():
-            kept = merged.findings.get(bug_id)
-            if kept is None or finding.iteration < kept.iteration:
-                merged.findings[bug_id] = finding
-
-        # One explanation per taxonomy reason fleet-wide, keeping the
-        # earliest global iteration — shard-order-independent, hence
-        # worker-count-invariant.
-        for reason, entry in shard.reject_explanations.items():
-            kept = merged.reject_explanations.get(reason)
-            if kept is None or entry.get("iteration", 0) < kept.get(
-                "iteration", 0
-            ):
-                merged.reject_explanations[reason] = entry
-
-        # Repair counters sum; the per-reason example keeps the
-        # earliest global iteration, mirroring the explanations.
-        merged.repairs_attempted.update(shard.repairs_attempted)
-        merged.repairs_verified.update(shard.repairs_verified)
-        for reason, entry in shard.repair_examples.items():
-            kept = merged.repair_examples.get(reason)
-            if kept is None or entry.get("iteration", 0) < kept.get(
-                "iteration", 0
-            ):
-                merged.repair_examples[reason] = entry
-
-    merged.divergences = merge_divergences(
-        [shard.divergences for shard in ordered]
-    )
-
-    merged.final_coverage = len(all_edges)
+    for name in _SUMMED:
+        setattr(merged, name, sum((getattr(s, name) for s in ordered),
+                                  getattr(merged, name)))
+    for name in _EARLIEST:
+        setattr(merged, name, _earliest([getattr(s, name) for s in ordered]))
     merged.metrics = merge_snapshots([s.metrics for s in ordered if s.metrics])
     merged.profile = merge_profiles([s.profile for s in ordered])
     merged.frontier = merge_frontiers([s.frontier for s in ordered])
@@ -342,10 +240,10 @@ def merge_shards(
     # cumulative programs across the whole fleet — the scaled-up
     # equivalent of Figure 6's wall-clock axis.
     points = []
-    for shard in ordered:
+    for index, shard in enumerate(ordered):
         prev_x = 0
         for local_x, new_edges in shard.edge_samples:
-            points.append((local_x, shard.index, local_x - prev_x, new_edges))
+            points.append((local_x, index, local_x - prev_x, new_edges))
             prev_x = local_x
     points.sort(key=lambda p: (p[0], p[1]))
 
@@ -357,6 +255,7 @@ def merge_shards(
         curve_edges |= fresh
         merged.coverage_curve.append((cumulative, len(curve_edges)))
         merged.edge_samples.append((cumulative, fresh))
+    merged.final_coverage = len(curve_edges)
     return merged
 
 

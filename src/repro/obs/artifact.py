@@ -52,14 +52,17 @@ def build_artifact(result) -> dict:
     config = result.config
     throughput = ThroughputStats.from_result(result)
 
+    # A shard's result carries its own config (index, shard budget);
+    # its first global iteration is the budgets of the shards before it.
     shards = []
+    start = 0
     for shard in getattr(result, "shard_results", []):
         busy = (shard.generate_seconds + shard.verify_seconds
                 + shard.execute_seconds)
         shards.append(
             {
-                "index": shard.index,
-                "start_iteration": shard.start_iteration,
+                "index": shard.config.shard_index,
+                "start_iteration": start,
                 "generated": shard.generated,
                 "accepted": shard.accepted,
                 "coverage_edges": len(shard.edges),
@@ -71,12 +74,12 @@ def build_artifact(result) -> dict:
                         shard.generated / shard.wall_seconds
                         if shard.wall_seconds else 0.0
                     ),
-                    "bootstrap_seconds": getattr(
-                        shard, "bootstrap_seconds", 0.0),
-                    "setup_seconds": getattr(shard, "setup_seconds", 0.0),
+                    "bootstrap_seconds": shard.bootstrap_seconds,
+                    "setup_seconds": shard.setup_seconds,
                 },
             }
         )
+        start += shard.config.budget
 
     indicators = {
         "indicator1": 0,
@@ -95,27 +98,24 @@ def build_artifact(result) -> dict:
             "iteration": finding.iteration,
         }
 
-    divergences = dict(sorted(getattr(result, "divergences", {}).items()))
+    divergences = dict(sorted(result.divergences.items()))
     by_classification: dict[str, int] = {}
     for div in divergences.values():
         cls = div.get("classification", "unexplained")
         by_classification[cls] = by_classification.get(cls, 0) + 1
 
-    repairs_attempted = getattr(result, "repairs_attempted", None) or {}
-    repairs_verified = getattr(result, "repairs_verified", None) or {}
-    repair_examples = getattr(result, "repair_examples", None) or {}
     repair_by_reason = {}
-    for reason in sorted(repairs_attempted):
-        attempted = repairs_attempted[reason]
-        verified = repairs_verified.get(reason, 0)
+    for reason in sorted(result.repairs_attempted):
+        attempted = result.repairs_attempted[reason]
+        verified = result.repairs_verified.get(reason, 0)
         repair_by_reason[reason] = {
             "attempted": attempted,
             "verified": verified,
             "verified_rate": verified / attempted if attempted else 0.0,
-            "example": repair_examples.get(reason),
+            "example": result.repair_examples.get(reason),
         }
-    total_attempted = sum(repairs_attempted.values())
-    total_verified = sum(repairs_verified.values())
+    total_attempted = sum(result.repairs_attempted.values())
+    total_verified = sum(result.repairs_verified.values())
 
     return {
         "schema": SCHEMA,
@@ -125,11 +125,11 @@ def build_artifact(result) -> dict:
             "budget": config.budget,
             "seed": config.seed,
             "sanitize": config.sanitize,
-            "differential": getattr(config, "differential", False),
-            "check_invariants": getattr(config, "check_invariants", False),
-            "flight": getattr(config, "flight", False),
-            "profile": getattr(config, "profile", False),
-            "repair_feedback": getattr(config, "repair_feedback", False),
+            "differential": config.differential,
+            "check_invariants": config.check_invariants,
+            "flight": config.flight,
+            "profile": config.profile,
+            "repair_feedback": config.repair_feedback,
             "shards": getattr(result, "shards", 1),
             "workers": getattr(result, "workers", 1),
         },
@@ -143,7 +143,7 @@ def build_artifact(result) -> dict:
         "indicators": indicators,
         "findings": findings,
         "differential": {
-            "enabled": getattr(config, "differential", False),
+            "enabled": config.differential,
             "total": len(divergences),
             "by_classification": dict(sorted(by_classification.items())),
             "divergences": list(divergences.values()),
@@ -157,16 +157,14 @@ def build_artifact(result) -> dict:
             "frames": _frame_breakdown(result),
             # One flight-recorder explanation per reason (earliest
             # global iteration); deterministic, so invariance-checked.
-            "explanations": dict(
-                sorted(getattr(result, "reject_explanations", {}).items())
-            ),
+            "explanations": dict(sorted(result.reject_explanations.items())),
         },
         # Verified rejection repairs (v3).  Repairs are pure functions
         # of the deterministic rejection stream, so the whole section
         # is part of the worker-count-invariance contract (no wall
         # sub-section needed).
         "repair": {
-            "enabled": getattr(config, "repair_feedback", False),
+            "enabled": config.repair_feedback,
             "attempted": total_attempted,
             "verified": total_verified,
             "verified_rate": (
@@ -179,17 +177,17 @@ def build_artifact(result) -> dict:
         # per-node wall times are host-speed-dependent — so the section
         # keeps the snapshot's own counts/wall split.
         "profile": {
-            "enabled": getattr(config, "profile", False),
-            **(getattr(result, "profile", None) or {}),
+            "enabled": config.profile,
+            **result.profile,
         },
         # Frontier snapshot is iteration-indexed, hence fully
         # deterministic — no wall sub-section needed.
-        "frontier": getattr(result, "frontier", None) or {},
+        "frontier": result.frontier,
         "shards": shards,
         "wall": {
             "throughput": throughput.as_dict(),
-            "bootstrap_seconds": getattr(result, "bootstrap_seconds", 0.0),
-            "setup_seconds": getattr(result, "setup_seconds", 0.0),
+            "bootstrap_seconds": result.bootstrap_seconds,
+            "setup_seconds": result.setup_seconds,
         },
     }
 

@@ -3,9 +3,9 @@
 The registry is the aggregation half of the observability layer.  One
 instance lives per campaign shard, components increment it through the
 process-current holder in :mod:`repro.obs`, and the resulting
-:meth:`MetricsRegistry.snapshot` travels back to the parent inside
-``ShardResult``, where snapshots from every shard merge with the same
-worker-count-invariance contract the rest of the merge obeys:
+:meth:`MetricsRegistry.snapshot` travels back to the parent inside the
+shard's ``CampaignResult``, where snapshots from every shard merge with
+the same worker-count-invariance contract the rest of the merge obeys:
 
 - **counters** sum;
 - **gauges** join with ``max`` (the only order-independent join that

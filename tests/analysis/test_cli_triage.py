@@ -8,6 +8,7 @@ from repro.__main__ import build_parser, main
 from repro.analysis.triage import triage_finding
 from repro.kernel.config import PROFILES, Flaw
 from repro.fuzz.campaign import Campaign, CampaignConfig
+from repro.fuzz.parallel import ParallelCampaign
 
 
 class TestCli:
@@ -29,6 +30,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "accepted" in out
         assert "Component" in out  # the bug table header
+
+    def test_campaign_command_differential_triage(self, capsys):
+        argv = ["campaign", "--workers", "1", "--shards", "2",
+                "--budget", "16", "--differential", "--triage"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        result = ParallelCampaign(
+            CampaignConfig(budget=16, differential=True), workers=1, shards=2
+        ).run()
+        assert "16 programs over 2 shards x 1 workers" in out
+        assert (f"merged verifier coverage {result.final_coverage} edges"
+                in out)
+        assert "Component" in out  # the bug table header
+        assert result.divergences
+        assert f"cross-version divergences: {len(result.divergences)}" in out
+        rows = [line for line in out.splitlines()
+                if " vs " in line and "] iteration " in line]
+        assert rows == [
+            f"  {d['kind']:<8} {d['profile_a']} vs {d['profile_b']}: "
+            f"{d['classification']} [{d['explanation']}] "
+            f"iteration {d['iteration']}"
+            for d in result.divergences.values()
+        ]
+        # One triage report per finding, in discovery order.
+        assert result.findings
+        reported = [line.removeprefix("BUG: ") for line in out.splitlines()
+                    if line.startswith("BUG: ")]
+        assert reported == [
+            f.bug_id
+            for f in sorted(result.findings.values(), key=lambda f: f.iteration)
+        ]
 
     def test_bench_command_small(self, capsys):
         assert main(["bench", "--budget", "20", "--seed", "1"]) == 0

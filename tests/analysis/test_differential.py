@@ -20,7 +20,6 @@ from repro.analysis.differential import (
     DifferentialOracle,
     Divergence,
     ProfileOutcome,
-    merge_divergences,
 )
 from repro.errors import BpfError, VerifierReject
 from repro.fuzz.oracle import Oracle
@@ -249,48 +248,6 @@ class TestKfuncBacktrackWitness:
         assert div.outcome_a.fingerprint != div.outcome_b.fingerprint
         assert div.classification == "known-flaw"
         assert div.explanation == Flaw.KFUNC_BACKTRACK.value
-
-
-def div_dict(key: str, iteration: int) -> dict:
-    return {
-        "key": key,
-        "kind": "verdict",
-        "profile_a": "v5.15",
-        "profile_b": "v6.1",
-        "verdict_a": "accept",
-        "verdict_b": "reject",
-        "reason_a": "",
-        "reason_b": "R_PTR_ALU",
-        "classification": "known-flaw",
-        "explanation": "cve-2022-23222",
-        "iteration": iteration,
-    }
-
-
-class TestMergeDivergences:
-    def test_dedup_keeps_earliest_global_iteration(self):
-        merged = merge_divergences(
-            [{"k1": div_dict("k1", 40)}, {"k1": div_dict("k1", 7)}]
-        )
-        assert merged["k1"]["iteration"] == 7
-
-    def test_order_independent(self):
-        shards = [
-            {"k1": div_dict("k1", 9)},
-            {"k1": div_dict("k1", 11), "k2": div_dict("k2", 3)},
-        ]
-        a = merge_divergences(shards)
-        b = merge_divergences(list(reversed(shards)))
-        assert a == b
-
-    def test_result_sorted_by_key(self):
-        merged = merge_divergences(
-            [{"zz": div_dict("zz", 1)}, {"aa": div_dict("aa", 2)}]
-        )
-        assert list(merged) == ["aa", "zz"]
-
-    def test_empty(self):
-        assert merge_divergences([]) == {}
 
 
 class TestOracleFindingPolicy:

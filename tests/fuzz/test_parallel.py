@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from repro.ebpf.maps import MapType
 from repro.ebpf.program import ProgType
-from repro.fuzz.campaign import CampaignConfig
+from repro.fuzz.campaign import CampaignConfig, CampaignResult
 from repro.fuzz.corpus import MapSpec
 from repro.fuzz.oracle import BugFinding
 from repro.fuzz.parallel import (
     ParallelCampaign,
-    ShardResult,
     _strip_finding,
     merge_shards,
     shard_budgets,
@@ -32,6 +32,42 @@ def finding(bug_id: str, iteration: int) -> BugFinding:
         message=bug_id,
         iteration=iteration,
     )
+
+
+def div_dict(key: str, iteration: int) -> dict:
+    return {
+        "key": key,
+        "kind": "verdict",
+        "profile_a": "v5.15",
+        "profile_b": "v6.1",
+        "verdict_a": "accept",
+        "verdict_b": "reject",
+        "reason_a": "",
+        "reason_b": "R_PTR_ALU",
+        "classification": "known-flaw",
+        "explanation": "cve-2022-23222",
+        "iteration": iteration,
+    }
+
+
+#: The result maps merged by "earliest global iteration wins".
+EARLIEST_FIELDS = ("findings", "divergences", "reject_explanations",
+                   "repair_examples")
+
+
+def entry(name: str, key: str, iteration: int):
+    """One entry of the result map ``name`` at a global iteration."""
+    if name == "findings":
+        return finding(key, iteration)
+    if name == "divergences":
+        return div_dict(key, iteration)
+    return {"reason": key, "iteration": iteration}
+
+
+def iteration_of(value) -> int:
+    if isinstance(value, BugFinding):
+        return value.iteration
+    return value["iteration"]
 
 
 class TestShardBudgets:
@@ -73,24 +109,21 @@ class TestSeedDerivation:
 
 
 class TestMergeShards:
-    def shard(self, index, start, **kw) -> ShardResult:
-        defaults = dict(
-            index=index,
-            start_iteration=start,
-            seed=derive_seed(0, index),
-            generated=10,
-            accepted=5,
-        )
+    def shard(self, index, **kw) -> CampaignResult:
+        """Shard ``index``'s result, its iterations already global."""
+        config = CampaignConfig(budget=10, seed=derive_seed(0, index),
+                                shard_index=index)
+        defaults = dict(generated=10, accepted=5)
         defaults.update(kw)
-        return ShardResult(**defaults)
+        return CampaignResult(config=config, **defaults)
 
     def test_counters_sum(self):
         merged = merge_shards(
             CampaignConfig(budget=20),
             [
-                self.shard(0, 0, reject_errnos=Counter({22: 3}),
+                self.shard(0, reject_errnos=Counter({22: 3}),
                            insn_classes=Counter({"alu": 7}), corpus_size=2),
-                self.shard(1, 10, reject_errnos=Counter({22: 1, 13: 2}),
+                self.shard(1, reject_errnos=Counter({22: 1, 13: 2}),
                            insn_classes=Counter({"alu": 1}), corpus_size=3),
             ],
         )
@@ -104,9 +137,9 @@ class TestMergeShards:
         merged = merge_shards(
             CampaignConfig(budget=20),
             [
-                self.shard(0, 0, findings={"bug-5": finding("bug-5", 8)}),
-                self.shard(1, 10, findings={"bug-5": finding("bug-5", 12),
-                                            "bug-7": finding("bug-7", 14)}),
+                self.shard(0, findings={"bug-5": finding("bug-5", 8)}),
+                self.shard(1, findings={"bug-5": finding("bug-5", 12),
+                                        "bug-7": finding("bug-7", 14)}),
             ],
         )
         assert set(merged.findings) == {"bug-5", "bug-7"}
@@ -114,8 +147,8 @@ class TestMergeShards:
 
     def test_dedup_order_independent(self):
         shards = [
-            self.shard(0, 0, findings={"bug-5": finding("bug-5", 9)}),
-            self.shard(1, 10, findings={"bug-5": finding("bug-5", 11)}),
+            self.shard(0, findings={"bug-5": finding("bug-5", 9)}),
+            self.shard(1, findings={"bug-5": finding("bug-5", 11)}),
         ]
         a = merge_shards(CampaignConfig(budget=20), shards)
         b = merge_shards(CampaignConfig(budget=20), list(reversed(shards)))
@@ -125,15 +158,14 @@ class TestMergeShards:
         merged = merge_shards(
             CampaignConfig(budget=20),
             [
-                self.shard(0, 0, edges=frozenset({1, 2, 3}),
-                           edge_samples=[(5, frozenset({1, 2})),
-                                         (10, frozenset({3}))]),
-                self.shard(1, 10, edges=frozenset({2, 3, 4}),
-                           edge_samples=[(5, frozenset({2, 4})),
-                                         (10, frozenset({3}))]),
+                self.shard(0, edge_samples=[(5, frozenset({1, 2})),
+                                            (10, frozenset({3}))]),
+                self.shard(1, edge_samples=[(5, frozenset({2, 4})),
+                                            (10, frozenset({3}))]),
             ],
         )
         assert merged.final_coverage == 4  # union of {1,2,3} and {2,3,4}
+        assert merged.edges == frozenset({1, 2, 3, 4})
         # Curve x axis is cumulative programs across the fleet and the
         # y axis reaches the merged total without double-counting.
         assert merged.coverage_curve[-1] == (20, 4)
@@ -149,15 +181,78 @@ class TestMergeShards:
         merged = merge_shards(
             CampaignConfig(budget=20),
             [
-                self.shard(0, 0, generate_seconds=1.0, verify_seconds=2.0,
+                self.shard(0, generate_seconds=1.0, verify_seconds=2.0,
                            execute_seconds=0.5),
-                self.shard(1, 10, generate_seconds=0.5, verify_seconds=1.0,
+                self.shard(1, generate_seconds=0.5, verify_seconds=1.0,
                            execute_seconds=0.25),
             ],
         )
         assert merged.generate_seconds == pytest.approx(1.5)
         assert merged.verify_seconds == pytest.approx(3.0)
         assert merged.execute_seconds == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("name", EARLIEST_FIELDS)
+    def test_earliest_iteration_wins(self, name):
+        merged = merge_shards(
+            CampaignConfig(budget=20),
+            [
+                self.shard(0, **{name: {"k1": entry(name, "k1", 40)}}),
+                self.shard(1, **{name: {"k1": entry(name, "k1", 7)}}),
+            ],
+        )
+        assert iteration_of(getattr(merged, name)["k1"]) == 7
+
+    @pytest.mark.parametrize("name", EARLIEST_FIELDS)
+    def test_fold_order_independent(self, name):
+        first = {"k1": entry(name, "k1", 9)}
+        second = {"k1": entry(name, "k1", 11), "k2": entry(name, "k2", 3)}
+        a = merge_shards(CampaignConfig(budget=20), [
+            self.shard(0, **{name: first}), self.shard(1, **{name: second}),
+        ])
+        b = merge_shards(CampaignConfig(budget=20), [
+            self.shard(1, **{name: first}), self.shard(0, **{name: second}),
+        ])
+        assert getattr(a, name) == getattr(b, name)
+        assert iteration_of(getattr(a, name)["k1"]) == 9
+
+    @pytest.mark.parametrize("name", EARLIEST_FIELDS)
+    def test_sorted_by_key(self, name):
+        merged = merge_shards(
+            CampaignConfig(budget=20),
+            [
+                self.shard(0, **{name: {"zz": entry(name, "zz", 1)}}),
+                self.shard(1, **{name: {"aa": entry(name, "aa", 12)}}),
+            ],
+        )
+        assert list(getattr(merged, name)) == ["aa", "zz"]
+
+    @pytest.mark.parametrize("name", EARLIEST_FIELDS)
+    def test_empty_input(self, name):
+        assert getattr(merge_shards(CampaignConfig(budget=0), []), name) == {}
+
+
+class TestMergeCompleteness:
+    """Every result field some shard fills must survive the merge: the
+    guard against a new CampaignResult field the fold forgets."""
+
+    CONFIG = CampaignConfig(
+        tool="bvf", kernel_version="bpf-next", budget=40, seed=1,
+        flight=True, repair_feedback=True, differential=True, profile=True,
+    )
+    #: fields that legitimately stay per-shard (none today)
+    PER_SHARD_ONLY: frozenset[str] = frozenset()
+
+    def test_no_field_dropped(self):
+        result = ParallelCampaign(self.CONFIG, workers=1, shards=2).run()
+        names = [f.name for f in fields(CampaignResult)]
+        filled = [n for n in names
+                  if any(getattr(s, n) for s in result.shard_results)]
+        # The run must exercise the oracles, or the check proves little.
+        for name in EARLIEST_FIELDS + ("profile", "frontier", "metrics"):
+            assert name in filled
+        dropped = [n for n in filled
+                   if not getattr(result, n) and n not in self.PER_SHARD_ONLY]
+        assert dropped == []
 
 
 class TestParallelCampaign:
@@ -203,15 +298,19 @@ class TestParallelCampaign:
 
     def test_shard_metadata(self, parallel):
         assert parallel.shards == len(parallel.shard_results)
-        assert [s.index for s in parallel.shard_results] == list(
+        assert [s.config.shard_index for s in parallel.shard_results] == list(
             range(parallel.shards)
         )
-        starts = [s.start_iteration for s in parallel.shard_results]
+        plan = ParallelCampaign(self.CONFIG).shard_plan()
+        starts = [start for _, _, start, _, _ in plan]
         assert starts == sorted(starts)
+        assert [s.config.budget for s in parallel.shard_results] == [
+            budget for _, _, _, budget, _ in plan
+        ]
         assert sum(s.generated for s in parallel.shard_results) == (
             self.CONFIG.budget
         )
-        seeds = {s.seed for s in parallel.shard_results}
+        seeds = {s.config.seed for s in parallel.shard_results}
         assert len(seeds) == parallel.shards
 
     def test_findings_are_stripped_for_pickling(self, parallel):
@@ -354,6 +453,16 @@ class TestFlightInvariance:
                 if reason in shard.reject_explanations
             ]
             assert entry["iteration"] == min(candidates)
+
+    def test_explanations_name_global_program(self, serial):
+        # The label is Campaign._explain_reject's ``{origin}_{iteration}``;
+        # a sharded explanation must carry the global iteration there
+        # and in its trail's ``begin`` event, not the shard-local one.
+        for entry in serial.reject_explanations.values():
+            assert entry["program"].endswith(f"_{entry['iteration']}")
+            for event in entry["trail"]:
+                if event["kind"] == "begin":
+                    assert event["program"] == entry["program"]
 
     def test_stripped_artifacts_identical(self, serial, parallel):
         from repro.obs.artifact import build_artifact, strip_wall
