@@ -135,8 +135,68 @@ class Divergence:
         }
 
 
+#: Marks a record whose verification read the config in a way no single
+#: fact covers.
+_POISONED = "<poisoned>"
+
+
+class _ReadRecorder:
+    """A read-recording view of a :class:`KernelConfig`.
+
+    A *fact* is one ``has_flaw(f)`` answer (recorded under ``f``) or one
+    feature-field value (recorded under the field name).  Any other
+    read — the whole ``flaws`` set, ``verifier_flaws()``,
+    ``with_flaw``, ``version``, equality or hashing — cannot be pinned
+    to a single fact, so it poisons the record.  ``dataclasses.replace``
+    refuses the view outright, since it is not a dataclass.
+    """
+
+    __slots__ = ("_config", "_reads")
+
+    def __init__(self, config: KernelConfig, reads: dict) -> None:
+        self._config = config
+        self._reads = reads
+
+    def has_flaw(self, flaw: Flaw) -> bool:
+        value = self._config.has_flaw(flaw)
+        self._reads[flaw] = value
+        return value
+
+    def __getattr__(self, name: str):
+        value = getattr(self._config, name)
+        if name in _FEATURE_FIELDS:
+            self._reads[name] = value
+        else:
+            self._reads[_POISONED] = name
+        return value
+
+    def __eq__(self, other) -> bool:
+        self._reads[_POISONED] = "__eq__"
+        return self._config == other
+
+    def __hash__(self) -> int:
+        self._reads[_POISONED] = "__hash__"
+        return hash(self._config)
+
+
+def _agrees(config: KernelConfig, reads: dict) -> bool:
+    """True if ``config`` answers every recorded fact the same way."""
+    for fact, value in reads.items():
+        if isinstance(fact, Flaw):
+            if config.has_flaw(fact) != value:
+                return False
+        elif getattr(config, fact) != value:
+            return False
+    return True
+
+
 class DifferentialOracle:
-    """Verifies each program under N profiles and explains divergences."""
+    """Verifies each program under N profiles and explains divergences.
+
+    Within one :meth:`run`, an outcome is answered from an earlier
+    verification of the same program when the asked config agrees with
+    that verification's config on every fact it read (DESIGN §5e).
+    """
 
     def __init__(self, profiles: tuple[str, ...] = DEFAULT_PROFILES) -> None:
         self.configs: dict[str, KernelConfig] = {
@@ -145,15 +205,18 @@ class DifferentialOracle:
 
     # ------------------------------------------------------------ outcomes --
 
-    def verify_under(self, config: KernelConfig, gp,
-                     profile: str = "") -> ProfileOutcome:
+    def verify_under(self, config: KernelConfig, gp, profile: str = "",
+                     reads: dict | None = None) -> ProfileOutcome:
         """One profile's verdict + final-range fingerprint for ``gp``.
 
         The program is **not executed**; only the verifier runs.  The
         fingerprint is the sorted multiset of exit-R0 range summaries,
         canonical across profiles even when DFS path order differs.
+        With ``reads``, every config fact the kernel boot, the map
+        creation and the verifier read is recorded into it.
         """
-        kernel = replay_kernel(config, gp)
+        view = config if reads is None else _ReadRecorder(config, reads)
+        kernel = replay_kernel(view, gp)
         prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
         verifier = Verifier(kernel, prog, sanitize=False,
                             collect_exit_states=True)
@@ -177,13 +240,32 @@ class DifferentialOracle:
             fingerprint=tuple(sorted(verifier.exit_r0_summaries or [])),
         )
 
+    def _outcome(self, config: KernelConfig, gp, memo: list,
+                 profile: str = "") -> ProfileOutcome:
+        """``verify_under``, answered from ``memo`` where a record agrees.
+
+        ``memo`` holds ``(reads, outcome)`` of this program's earlier
+        real verifications, in order; a poisoned one is never added.
+        """
+        for recorded, outcome in memo:
+            if _agrees(config, recorded):
+                obs.metrics().counter("differential.reused")
+                return replace(outcome, profile=profile or config.version)
+        reads: dict = {}
+        outcome = self.verify_under(config, gp, profile=profile, reads=reads)
+        if _POISONED not in reads:
+            memo.append((reads, outcome))
+        return outcome
+
     # ---------------------------------------------------------- divergence --
 
     def run(self, gp, iteration: int = -1) -> list["Divergence"]:
         """All pairwise divergences for one generated program."""
         names = sorted(self.configs)
+        # Records of this program only: never kept past this call.
+        memo: list = []
         outcomes = {
-            name: self.verify_under(self.configs[name], gp, profile=name)
+            name: self._outcome(self.configs[name], gp, memo, profile=name)
             for name in names
         }
         divergences = []
@@ -194,7 +276,7 @@ class DifferentialOracle:
                     continue
                 kind = "verdict" if a.verdict != b.verdict else "range"
                 classification, explanation = self._classify(
-                    gp, self.configs[name_a], self.configs[name_b], b
+                    gp, self.configs[name_a], self.configs[name_b], b, memo
                 )
                 divergences.append(
                     Divergence(
@@ -219,6 +301,7 @@ class DifferentialOracle:
         cfg_a: KernelConfig,
         cfg_b: KernelConfig,
         outcome_b: ProfileOutcome,
+        memo: list,
     ) -> tuple[str, str]:
         """Attribute one (A, B) divergence by single-difference replays."""
         target = outcome_b.signature
@@ -231,7 +314,7 @@ class DifferentialOracle:
             else:
                 candidate = cfg_a.without_flaw(flaw)
             obs.metrics().counter("differential.replays")
-            if self.verify_under(candidate, gp).signature == target:
+            if self._outcome(candidate, gp, memo).signature == target:
                 return "known-flaw", flaw.value
 
         # Single feature toggles.
@@ -241,13 +324,15 @@ class DifferentialOracle:
                 continue
             obs.metrics().counter("differential.replays")
             candidate = replace(cfg_a, **{name: value_b})
-            if self.verify_under(candidate, gp).signature == target:
+            if self._outcome(candidate, gp, memo).signature == target:
                 return "feature-gap", name
 
         # The whole delta at once: A's config with every flaw and
         # feature difference applied is B's config modulo the version
         # string, so a mismatch here means verification depends on
-        # something outside the registry — a genuine bug report.
+        # something outside the registry — a genuine bug report.  It is
+        # always verified: recorded reads cover only registry facts,
+        # which is exactly what this replay must not assume.
         combined = replace(
             cfg_a,
             flaws=cfg_b.flaws,
@@ -264,4 +349,3 @@ class DifferentialOracle:
                 ]
             )
         return "unexplained", "outcome not reproduced by any registry delta"
-

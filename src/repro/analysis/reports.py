@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.differential import DEFAULT_PROFILES
 from repro.kernel.config import Flaw
 from repro.fuzz.oracle import BugFinding
 from repro.obs.frontier import render_frontier
@@ -326,6 +327,15 @@ def render_dashboard(artifact: dict) -> str:
                 f"{cls}={count}" for cls, count in sorted(by_cls.items())
             ),
         ]
+        # Every program asks one outcome per profile plus one per
+        # classification replay; each is verified or answered from an
+        # earlier verification's reads (DESIGN §5e).
+        counters = (artifact.get("metrics") or {}).get("counters", {})
+        asked = (len(DEFAULT_PROFILES) * summary.get("generated", 0)
+                 + counters.get("differential.replays", 0))
+        reused = counters.get("differential.reused", 0)
+        lines.append(f"  verifications: {asked - reused} run, "
+                     f"{reused} answered from reads")
         rows = differential.get("divergences", [])
         if rows:
             lines.append(

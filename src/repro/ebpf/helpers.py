@@ -161,8 +161,9 @@ class HelperProto:
     #: map types a CONST_MAP_PTR argument accepts (None = any); the
     #: verifier's check_map_func_compatibility
     map_types: frozenset | None = None
-    #: minimum "kernel version" feature gate
-    requires_btf: bool = False
+    #: the :class:`~repro.kernel.config.KernelConfig` feature field a
+    #: kernel needs to offer this helper (None = every kernel has it)
+    feature: str | None = None
 
     def arg_count(self) -> int:
         return len(self.args)
@@ -701,7 +702,7 @@ def _build_protos() -> dict[int, HelperProto]:
             RetType.PTR_TO_BTF_ID,
             _impl_get_task_btf,
             prog_types=_TRACING_TYPES,
-            requires_btf=True,
+            feature="has_btf_access",
         ),
         HelperProto(
             HelperId.SNPRINTF,
@@ -715,6 +716,7 @@ def _build_protos() -> dict[int, HelperProto]:
             ),
             RetType.INTEGER,
             _impl_snprintf,
+            feature="has_bpf_loop",
         ),
         HelperProto(
             HelperId.LOOP,
@@ -722,6 +724,7 @@ def _build_protos() -> dict[int, HelperProto]:
             (ArgType.ANYTHING, ArgType.ANYTHING, ArgType.ANYTHING, ArgType.ANYTHING),
             RetType.INTEGER,
             _impl_loop,
+            feature="has_bpf_loop",
         ),
     ]
     return {int(p.helper_id): p for p in protos}
@@ -729,37 +732,44 @@ def _build_protos() -> dict[int, HelperProto]:
 
 #: Every helper, built once per process.  Protos are frozen and their
 #: ``impl``s are module functions, so kernels share them; the mapping
-#: is read-only so no kernel's filtering can leak into another's.
+#: is read-only so no kernel can change another's helpers.
 _PROTOS: Mapping[int, HelperProto] = MappingProxyType(_build_protos())
 
 
 class HelperRegistry:
-    """Per-kernel helper table filtered by the version's feature set."""
+    """Per-kernel view of the helper table, filtered by the version's
+    feature set when a helper is looked up.
+
+    Filtering at lookup rather than at boot means a kernel reads a
+    feature field only when something asks for a helper gated on it,
+    so a boot reads no config at all.
+    """
 
     def __init__(self, config: KernelConfig) -> None:
         self.config = config
-        self._protos = dict(_PROTOS)
-        if not config.has_btf_access:
-            self._protos.pop(int(HelperId.GET_CURRENT_TASK_BTF), None)
-        if not config.has_bpf_loop:
-            self._protos.pop(int(HelperId.LOOP), None)
-            self._protos.pop(int(HelperId.SNPRINTF), None)
+
+    def _offers(self, proto: HelperProto) -> bool:
+        return proto.feature is None or getattr(self.config, proto.feature)
 
     def get(self, helper_id: int) -> HelperProto | None:
-        return self._protos.get(helper_id)
+        proto = _PROTOS.get(helper_id)
+        if proto is None or not self._offers(proto):
+            return None
+        return proto
 
     def ids(self) -> list[int]:
-        return sorted(self._protos)
+        return sorted(hid for hid, p in _PROTOS.items() if self._offers(p))
 
     def ids_for_prog_type(self, prog_type: str) -> list[int]:
         """Helper ids callable from programs of the given type."""
-        result = []
-        for hid, proto in self._protos.items():
-            if proto.prog_types is None or prog_type in proto.prog_types:
-                result.append(hid)
-        return sorted(result)
+        return sorted(
+            hid for hid, p in _PROTOS.items()
+            if (p.prog_types is None or prog_type in p.prog_types)
+            and self._offers(p)
+        )
 
     def lock_acquiring_ids(self) -> frozenset[int]:
         return frozenset(
-            hid for hid, p in self._protos.items() if p.acquires_lock
+            hid for hid, p in _PROTOS.items()
+            if p.acquires_lock and self._offers(p)
         )

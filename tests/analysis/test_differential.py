@@ -13,16 +13,22 @@ profile), so the tests would catch the oracle both under-reporting
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import differential
 from repro.analysis.differential import (
     DEFAULT_PROFILES,
     DifferentialOracle,
     Divergence,
     ProfileOutcome,
+    _ReadRecorder,
 )
 from repro.errors import BpfError, VerifierReject
+from repro.fuzz.generator import StructuredGenerator
 from repro.fuzz.oracle import Oracle
+from repro.fuzz.rng import FuzzRng
 from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
 from repro.kernel.config import PROFILES, Flaw, pristine
 from repro.kernel.syscall import Kernel
@@ -33,6 +39,7 @@ from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.opcodes import AluOp, JmpOp, Reg, Size
 from repro.ebpf.program import BpfProgram, ProgType
 from repro.testsuite import all_selftests_extended
+from repro.verifier.core import Verifier
 
 
 def wrap_selftest(selftest) -> GeneratedProgram:
@@ -285,3 +292,176 @@ class TestOracleFindingPolicy:
         b = self.oracle().classify_divergence(div)
         assert a.bug_id == b.bug_id
         assert a.bug_id.startswith("differential:unexplained:v5.15-vs-v6.1:")
+
+
+# --------------------------------------------------------------------------
+# Answering outcomes from recorded reads
+# --------------------------------------------------------------------------
+
+#: generated bpf-next programs the reuse check compares, per seed
+GENERATED_PER_SEED = 80
+GENERATOR_SEEDS = (1, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def generated():
+    programs = []
+    for seed in GENERATOR_SEEDS:
+        rng = FuzzRng(seed)
+        for _ in range(GENERATED_PER_SEED):
+            kernel = Kernel(PROFILES["bpf-next"]())
+            programs.append(StructuredGenerator(kernel, rng).generate())
+    return programs
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    """The configs of every real verification, in order."""
+    configs = []
+    verify_under = DifferentialOracle.verify_under
+
+    def spy(self, config, gp, *args, **kwargs):
+        configs.append(config)
+        return verify_under(self, config, gp, *args, **kwargs)
+
+    monkeypatch.setattr(DifferentialOracle, "verify_under", spy)
+    return configs
+
+
+def _without_reuse(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(differential, "_agrees", lambda config, reads: False)
+        return run()
+
+
+class TestReuseChangesNothing:
+    """Reuse returns the same divergences, field for field, as a run in
+    which every outcome is verified."""
+
+    def test_generated_programs(self, generated, monkeypatch,
+                                verifications):
+        oracle = DifferentialOracle()
+        reused = [oracle.run(gp, iteration=i) for i, gp in enumerate(generated)]
+        run_with_reuse = len(verifications)
+        verified = _without_reuse(monkeypatch, lambda: [
+            oracle.run(gp, iteration=i) for i, gp in enumerate(generated)
+        ])
+        assert len(generated) >= 300
+        for i, (a, b) in enumerate(zip(reused, verified)):
+            assert a == b, f"generated program {i}"
+        assert any(verified), "the programs must diverge somewhere"
+        assert run_with_reuse < len(verifications) - run_with_reuse
+
+    def test_selftests(self, corpus, corpus_divergences, monkeypatch):
+        oracle = DifferentialOracle()
+        for name, gp in corpus:
+            verified = _without_reuse(monkeypatch, lambda: oracle.run(gp))
+            assert corpus_divergences[name] == verified, name
+
+
+class TestReadRecorder:
+    def gp(self) -> GeneratedProgram:
+        return TestKfuncBacktrackWitness().witness()
+
+    def test_records_flaw_answers_and_feature_values(self):
+        config, reads = PROFILES["v6.1"](), {}
+        view = _ReadRecorder(config, reads)
+        assert view.has_flaw(Flaw.TASK_STRUCT_OOB)
+        assert not view.has_flaw(Flaw.NULLNESS_PROPAGATION)
+        assert view.has_kfuncs and not view.has_nullness_propagation
+        assert reads == {
+            Flaw.TASK_STRUCT_OOB: True,
+            Flaw.NULLNESS_PROPAGATION: False,
+            "has_kfuncs": True,
+            "has_nullness_propagation": False,
+        }
+
+    @pytest.mark.parametrize("read", [
+        lambda view: view.flaws,
+        lambda view: view.verifier_flaws(),
+        lambda view: view.with_flaw(Flaw.KFUNC_BACKTRACK),
+        lambda view: view.version,
+        lambda view: view == PROFILES["v6.1"](),
+        lambda view: hash(view),
+    ], ids=["flaws", "verifier_flaws", "with_flaw", "version", "eq", "hash"])
+    def test_unattributable_read_poisons(self, read):
+        reads = {}
+        read(_ReadRecorder(PROFILES["v6.1"](), reads))
+        assert differential._POISONED in reads
+
+    @pytest.mark.parametrize("read", [
+        lambda config: config.flaws,
+        lambda config: config.component_flaws(),
+    ], ids=["flaws", "unknown-method"])
+    def test_poisoned_record_is_never_reused(self, read, monkeypatch,
+                                             verifications):
+        verify = Verifier.verify
+
+        def reading_verify(self):
+            read(self.config)
+            return verify(self)
+
+        monkeypatch.setattr(Verifier, "verify", reading_verify)
+        oracle, memo, config = DifferentialOracle(), [], PROFILES["v6.1"]()
+        first = oracle._outcome(config, self.gp(), memo)
+        second = oracle._outcome(config, self.gp(), memo)
+        assert memo == []
+        assert verifications == [config, config]
+        assert first == second
+
+    def test_clean_record_is_reused(self, verifications):
+        oracle, memo, config = DifferentialOracle(), [], PROFILES["v6.1"]()
+        first = oracle._outcome(config, self.gp(), memo)
+        assert oracle._outcome(config, self.gp(), memo) == first
+        assert verifications == [config]
+        assert len(memo) == 1
+
+    def test_run_never_answers_from_another_program(self, verifications):
+        oracle = DifferentialOracle(("v6.1",))
+        accept, reject = self.gp(), TestCveWitness().witness()
+        oracle.run(accept)
+        oracle.run(reject)
+        oracle.run(accept)
+        assert len(verifications) == 3
+        assert list(vars(oracle)) == ["configs"]
+
+    def test_verify_under_alone_verifies(self, verifications):
+        oracle, config = DifferentialOracle(("bpf-next",)), PROFILES["v6.1"]()
+        first = oracle.verify_under(config, self.gp())
+        assert oracle.verify_under(config, self.gp()) == first
+        assert len(verifications) == 2
+        assert first.profile == "v6.1" and first.verdict == "accept"
+        reads = {}
+        assert oracle.verify_under(config, self.gp(), reads=reads) == first
+        assert reads[Flaw.KFUNC_BACKTRACK] is False
+        assert reads["has_kfuncs"] is True
+
+    def test_reused_outcome_carries_asking_profile(self, verifications):
+        oracle = DifferentialOracle()
+        oracle.configs = {"fixed-a": pristine("fixed-a"),
+                          "fixed-b": pristine("fixed-b")}
+        memo = []
+        a = oracle._outcome(oracle.configs["fixed-a"], self.gp(), memo,
+                            profile="fixed-a")
+        b = oracle._outcome(oracle.configs["fixed-b"], self.gp(), memo,
+                            profile="fixed-b")
+        toggled = oracle._outcome(pristine("fixed-c"), self.gp(), memo)
+        assert len(verifications) == 1
+        assert (a.profile, b.profile, toggled.profile) == (
+            "fixed-a", "fixed-b", "fixed-c")
+        assert a.signature == b.signature == toggled.signature
+
+    def test_combined_replay_always_verifies(self, verifications):
+        oracle = DifferentialOracle()
+        cfg_a, cfg_b = PROFILES["v5.15"](), PROFILES["bpf-next"]()
+        # A record that agrees with every config answers every single
+        # toggle, none of them with the (unreachable) target.
+        memo = [({}, ProfileOutcome("v5.15", "accept"))]
+        target = ProfileOutcome("bpf-next", "accept", fingerprint=("x",))
+        assert oracle._classify(self.gp(), cfg_a, cfg_b, target, memo) == (
+            "unexplained", "outcome not reproduced by any registry delta")
+        assert verifications == [replace(
+            cfg_a, flaws=cfg_b.flaws,
+            **{name: getattr(cfg_b, name)
+               for name in differential._FEATURE_FIELDS},
+        )]

@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import errno
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.differential import _ReadRecorder
 from repro.errors import KernelPanic, LockdepReport
 from repro.kernel.config import PROFILES
-from repro.kernel.syscall import Kernel
-from repro.ebpf.helpers import ArgType, HelperContext, HelperId, RetType
+from repro.kernel.syscall import Kernel, replay_kernel
+from repro.ebpf import helpers
+from repro.ebpf.helpers import (
+    ArgType,
+    HelperContext,
+    HelperId,
+    HelperRegistry,
+    RetType,
+)
 from repro.ebpf.maps import MapType
+from repro.ebpf.program import ProgType
 
 
 def ctx_for(kernel, **kwargs) -> HelperContext:
@@ -47,8 +58,9 @@ class TestRegistry:
         assert patched_kernel.helpers.get(9999) is None
 
     def test_shared_table_does_not_leak_across_configs(self):
-        """Every kernel filters a copy of one process-wide table, so a
-        v5.15 boot (no bpf_loop) leaves later boots' helpers alone."""
+        """Every kernel filters one process-wide table when it looks a
+        helper up, so a v5.15 kernel (no bpf_loop) leaves later boots'
+        helpers alone."""
         common = [1, 2, 3, 4, 5, 6, 7, 8, 12, 14, 15, 16, 35, 87, 88, 89,
                   93, 94, 109, 113, 130, 131, 132, 133, 158]
         expected = {
@@ -64,6 +76,67 @@ class TestRegistry:
         for names in (list(PROFILES), list(reversed(PROFILES))):
             for name in names:
                 assert Kernel(PROFILES[name]()).helpers.ids() == expected[name]
+
+
+#: every stock profile, plus feature sets no stock profile has
+_CONFIGS = {
+    **{name: make() for name, make in PROFILES.items()},
+    "no-btf": replace(PROFILES["bpf-next"](), has_btf_access=False),
+    "no-btf-no-loop": replace(PROFILES["v5.15"](), has_btf_access=False),
+}
+
+
+def _eager_protos(config) -> dict:
+    """The boot-time filtering lookup-time filtering replaced."""
+    protos = dict(helpers._PROTOS)
+    if not config.has_btf_access:
+        protos.pop(int(HelperId.GET_CURRENT_TASK_BTF), None)
+    if not config.has_bpf_loop:
+        protos.pop(int(HelperId.LOOP), None)
+        protos.pop(int(HelperId.SNPRINTF), None)
+    return protos
+
+
+@pytest.mark.parametrize("name", list(_CONFIGS))
+class TestLookupTimeFiltering:
+    """Filtering at lookup answers exactly what filtering at boot did."""
+
+    def test_get_matches_eager_filtering(self, name):
+        config = _CONFIGS[name]
+        eager, registry = _eager_protos(config), HelperRegistry(config)
+        for helper_id in [*range(-1, 256), 9999]:
+            assert registry.get(helper_id) is eager.get(helper_id), helper_id
+
+    def test_ids_match_eager_filtering(self, name):
+        config = _CONFIGS[name]
+        eager, registry = _eager_protos(config), HelperRegistry(config)
+        assert registry.ids() == sorted(eager)
+        for prog_type in ProgType:
+            assert registry.ids_for_prog_type(prog_type.value) == sorted(
+                hid for hid, p in eager.items()
+                if p.prog_types is None or prog_type.value in p.prog_types
+            ), prog_type
+        assert registry.lock_acquiring_ids() == frozenset(
+            hid for hid, p in eager.items() if p.acquires_lock
+        )
+
+    def test_boot_and_map_creation_read_no_config(self, name):
+        kernel = Kernel(_CONFIGS[name])
+        kernel.map_create(MapType.HASH, 8, 8, 4)
+        kernel.map_create(MapType.ARRAY, 4, 16, 2, has_spin_lock=True)
+        prog = SimpleNamespace(maps=[kernel.map_by_fd(3), kernel.map_by_fd(4)])
+        reads: dict = {}
+        replay_kernel(_ReadRecorder(_CONFIGS[name], reads), prog)
+        assert reads == {}
+
+    def test_gated_lookup_reads_only_its_feature(self, name):
+        config = _CONFIGS[name]
+        reads: dict = {}
+        registry = HelperRegistry(_ReadRecorder(config, reads))
+        registry.get(HelperId.MAP_LOOKUP_ELEM)
+        assert reads == {}
+        registry.get(HelperId.LOOP)
+        assert reads == {"has_bpf_loop": config.has_bpf_loop}
 
 
 class TestMapHelpers:

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.differential import DifferentialOracle
 from repro.analysis.reports import render_dashboard
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.parallel import ParallelCampaign
@@ -114,6 +115,23 @@ class TestDashboard:
         rows = [line for line in text.splitlines()
                 if re.match(r"^\s+\d+\s+\d+\s+\d+\s+\d+", line)]
         assert len(rows) == 4
+
+    def test_differential_verifications_run_vs_answered(self, monkeypatch):
+        calls = []
+        verify_under = DifferentialOracle.verify_under
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return verify_under(self, *args, **kwargs)
+
+        monkeypatch.setattr(DifferentialOracle, "verify_under", counted)
+        result = Campaign(CampaignConfig(budget=30, seed=3,
+                                         differential=True)).run()
+        reused = result.metrics["counters"]["differential.reused"]
+        assert reused > 0
+        text = render_dashboard(build_artifact(result))
+        assert (f"  verifications: {len(calls)} run, {reused} answered "
+                f"from reads") in text.splitlines()
 
     def test_report_cli(self, serial_result, tmp_path, capsys):
         path = tmp_path / "metrics.json"
