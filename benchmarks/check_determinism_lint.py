@@ -47,11 +47,7 @@ from pathlib import Path
 LINTED_DIRS = ("fuzz", "obs", "analysis")
 
 #: (relative posix path, rule) -> why the site is allowed.
-ALLOWLIST: dict[tuple[str, str], str] = {
-    ("obs/heartbeat.py", "time.time"):
-        "updated_unix heartbeat field: consumed only by `repro watch` "
-        "for staleness display, never written into a metrics artifact",
-}
+ALLOWLIST: dict[tuple[str, str], str] = {}
 
 _DATETIME_NOW = {"now", "utcnow", "today"}
 _SET_PRODUCERS = {"set", "frozenset"}

@@ -8,8 +8,6 @@ Subcommands:
   print the merged bug table plus throughput stats;
 - ``selftest``  — run the verifier self-test corpus against a kernel
   profile and report verdict mismatches;
-- ``bench``     — quick acceptance/coverage comparison of the three
-  generators;
 - ``report``    — render the telemetry dashboard from a ``--metrics``
   artifact (acceptance by reason/frame kind, phase-time histograms,
   cache health, per-shard throughput, bug indicators, the coverage
@@ -24,16 +22,13 @@ Subcommands:
 - ``repair``    — synthesize and verify the minimal patch that flips
   a rejected program (selftest or campaign iteration) to accepted,
   printing the patched disassembly and the diff;
-- ``watch``     — tail a campaign's heartbeat directory and render a
-  live progress dashboard;
 - ``profiles``  — list the kernel profiles and their injected flaws.
 
 ``fuzz`` and ``campaign`` both accept ``--trace PATH`` (JSONL trace
 events; sharded campaigns write ``PATH.shardNN`` per shard),
-``--metrics PATH`` (the JSON artifact ``report`` consumes),
+``--metrics PATH`` (the JSON artifact ``report`` consumes) and
 ``--flight`` (record verifier decisions and attach rejection
-explanations), and ``--heartbeat-dir DIR`` (write the progress
-snapshots ``watch`` renders).
+explanations).  DESIGN.md §8 lists every option with what reads it.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from repro.fuzz.parallel import DEFAULT_SHARDS, ParallelCampaign
 from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
 from repro.obs.artifact import build_artifact, write_artifact
-from repro.obs.frontier import DEFAULT_PLATEAU_WINDOW
 from repro.testsuite import all_selftests_extended as all_selftests
 
 __all__ = ["main"]
@@ -71,9 +65,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         flight=args.flight,
         profile=args.profile,
         repair_feedback=args.repair_feedback,
-        plateau_window=args.plateau_window,
-        heartbeat_dir=args.heartbeat_dir,
-        heartbeat_every=args.heartbeat_every,
     )
 
 
@@ -301,31 +292,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_watch(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.heartbeat import (
-        read_campaign_meta,
-        read_heartbeats,
-        render_watch,
-    )
-
-    while True:
-        snapshots = read_heartbeats(args.dir)
-        frame = render_watch(snapshots, read_campaign_meta(args.dir))
-        if args.once:
-            print(frame)
-            return 0
-        # ANSI clear-screen + home keeps the refresh flicker-free.
-        print("\x1b[2J\x1b[H" + frame, flush=True)
-        if snapshots and all(s.get("status") == "done" for s in snapshots):
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
     mismatches = 0
     total = 0
@@ -349,25 +315,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     print(f"\n{total} self-tests, {mismatches} verdict mismatches "
           f"on {args.kernel}")
     return 1 if mismatches else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    print(f"{'tool':>12} {'accepted':>9} {'coverage':>9}")
-    for tool in ("bvf", "syzkaller", "buzzer"):
-        result = Campaign(
-            CampaignConfig(
-                tool=tool,
-                kernel_version=args.kernel,
-                budget=args.budget,
-                seed=args.seed,
-                sanitize=tool == "bvf",
-            )
-        ).run()
-        print(
-            f"{tool:>12} {result.acceptance_rate:>8.1%} "
-            f"{result.final_coverage:>9}"
-        )
-    return 0
 
 
 def _cmd_profiles(args: argparse.Namespace) -> int:
@@ -433,15 +380,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                         help="attempt a verified minimal repair for every "
                              "rejection and feed accepted repairs back "
                              "into the mutation corpus")
-    parser.add_argument("--plateau-window", type=int,
-                        default=DEFAULT_PLATEAU_WINDOW, metavar="N",
-                        help="iterations without new coverage before a "
-                             "plateau event is emitted")
-    parser.add_argument("--heartbeat-dir", metavar="DIR", default=None,
-                        help="write atomic progress heartbeats into DIR "
-                             "(`repro watch DIR` renders them live)")
-    parser.add_argument("--heartbeat-every", type=int, default=25,
-                        metavar="N", help="heartbeat cadence in iterations")
 
 
 def _add_program_args(parser: argparse.ArgumentParser, what: str) -> None:
@@ -511,28 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_args(repair, "repair")
     repair.set_defaults(func=_cmd_repair)
 
-    watch = sub.add_parser(
-        "watch", help="live view of a campaign's heartbeat directory"
-    )
-    watch.add_argument("dir", help="the campaign's --heartbeat-dir")
-    watch.add_argument("--interval", type=float, default=2.0,
-                       help="seconds between refreshes")
-    watch.add_argument("--once", action="store_true",
-                       help="print one frame and exit (no screen clear)")
-    watch.set_defaults(func=_cmd_watch)
-
     selftest = sub.add_parser("selftest", help="run the self-test corpus")
     selftest.add_argument("--kernel", default="patched",
                           choices=list(PROFILES))
     selftest.add_argument("--sanitize", action="store_true")
     selftest.add_argument("--verbose", "-v", action="store_true")
     selftest.set_defaults(func=_cmd_selftest)
-
-    bench = sub.add_parser("bench", help="compare the generators")
-    bench.add_argument("--kernel", default="bpf-next", choices=list(PROFILES))
-    bench.add_argument("--budget", type=int, default=300)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=_cmd_bench)
 
     profiles = sub.add_parser("profiles", help="list kernel profiles")
     profiles.set_defaults(func=_cmd_profiles)

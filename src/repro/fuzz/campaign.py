@@ -31,8 +31,7 @@ from repro.errors import (
     MapError,
     VerifierReject,
 )
-from repro.obs.frontier import DEFAULT_PLATEAU_WINDOW, FrontierTracker
-from repro.obs.metrics import cache_hit_rates
+from repro.obs.frontier import FrontierTracker
 from repro.obs.taxonomy import classify
 from repro.verifier.log import final_message
 from repro.ebpf.opcodes import InsnClass
@@ -95,15 +94,8 @@ class CampaignConfig:
     #: run the hierarchical verifier profiler
     #: (:mod:`repro.obs.profile`); off = zero-cost hot path
     profile: bool = False
-    #: iterations without new coverage before a ``campaign.plateau``
-    #: event is emitted (frontier tracking needs ``collect_coverage``)
-    plateau_window: int = DEFAULT_PLATEAU_WINDOW
-    #: write atomic progress heartbeats into this directory
-    #: (:mod:`repro.obs.heartbeat`; ``repro watch DIR`` renders them)
-    heartbeat_dir: str | None = None
-    #: heartbeat cadence in iterations (deterministic intervals)
-    heartbeat_every: int = 25
-    #: shard index, used for heartbeat file naming (set by
+    #: shard index, which orders the shard merge and labels the
+    #: artifact's shard table (set by
     #: :class:`~repro.fuzz.parallel.ParallelCampaign` per shard)
     shard_index: int = 0
 
@@ -290,9 +282,7 @@ class Campaign:
             obs.VerifierTrace(recorder) if recorder.enabled else None,
         )
         frontier = (
-            FrontierTracker(self.config.plateau_window)
-            if self.config.collect_coverage
-            else None
+            FrontierTracker() if self.config.collect_coverage else None
         )
         self._frontier = frontier
         clock = obs.PhaseClock(metrics=registry, recorder=recorder)
@@ -301,38 +291,6 @@ class Campaign:
         # The tnum memo LRUs are process-global (shards in one process
         # share warm entries), so this shard's contribution is a delta.
         tnum_before = tnum_memo_stats()
-
-        heartbeat = None
-        if self.config.heartbeat_dir:
-            from repro.obs.heartbeat import HeartbeatWriter
-
-            heartbeat = HeartbeatWriter(
-                self.config.heartbeat_dir,
-                shard_index=self.config.shard_index,
-                budget=self.config.budget,
-                seed=self.config.seed,
-            )
-
-        def beat(status: str) -> None:
-            if heartbeat is None:
-                return
-            heartbeat.write(
-                status=status,
-                programs=result.generated,
-                accepted=result.accepted,
-                findings=len(result.findings),
-                divergences=len(result.divergences),
-                reject_reasons=dict(result.reject_reasons),
-                phase_seconds=dict(clock.seconds),
-                caches=cache_hit_rates(
-                    registry.snapshot().get("counters", {})
-                ),
-                frontier=(
-                    frontier.heartbeat_state()
-                    if frontier is not None
-                    else None
-                ),
-            )
 
         def sample() -> None:
             edges = self.coverage.edges
@@ -343,7 +301,6 @@ class Campaign:
             sampled_edges.update(edges)
 
         try:
-            beat("starting")
             for iteration in range(self.config.budget):
                 self._iteration(result, iteration)
                 if (
@@ -351,14 +308,8 @@ class Campaign:
                     and iteration % self.config.sample_every == 0
                 ):
                     sample()
-                if (
-                    heartbeat is not None
-                    and (iteration + 1) % self.config.heartbeat_every == 0
-                ):
-                    beat("running")
             if self.config.collect_coverage:
                 sample()
-            beat("done")
         finally:
             obs.restore(token)
             recorder.close()
@@ -442,7 +393,13 @@ class Campaign:
         # publishes ``last_new`` from its finally block, so rejected
         # programs contribute their edges too.
         if self._frontier is not None:
-            self._note_frontier(iteration, gp)
+            self._frontier.note(
+                iteration,
+                self.coverage.last_new,
+                frames=kinds,
+                prog_type=gp.prog_type.name,
+                origin=gp.origin,
+            )
         if verified is None:
             return
 
@@ -455,23 +412,6 @@ class Campaign:
 
         with self._clock.phase("execute"):
             self._execute_plan(kernel, verified, gp, result, iteration)
-
-    def _note_frontier(self, iteration: int, gp: GeneratedProgram) -> None:
-        """Feed one iteration's coverage outcome to the frontier tracker
-        and publish the plateau event if the tracker just stalled."""
-        event = self._frontier.note(
-            iteration,
-            self.coverage.last_new,
-            frames=self._frame_kinds(gp),
-            prog_type=gp.prog_type.name,
-            origin=gp.origin,
-        )
-        if event is None:
-            return
-        obs.metrics().counter("campaign.plateaus")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("campaign.plateau", **event)
 
     def _reject(
         self,

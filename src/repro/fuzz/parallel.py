@@ -297,21 +297,6 @@ class ParallelCampaign:
         plan = self.shard_plan()
         workers = min(self.workers, max(len(plan), 1))
 
-        if self.config.heartbeat_dir:
-            from repro.obs.heartbeat import write_campaign_meta
-
-            write_campaign_meta(
-                self.config.heartbeat_dir,
-                {
-                    "tool": self.config.tool,
-                    "kernel": self.config.kernel_version,
-                    "budget": self.config.budget,
-                    "seed": self.config.seed,
-                    "shards": len(plan),
-                    "workers": workers,
-                },
-            )
-
         if self.config.collect_coverage:
             # Instrument once, here: forked workers inherit the probes.
             install_probes()

@@ -17,8 +17,8 @@ The subsystem has these layers (see DESIGN.md "Observability"):
 - :mod:`repro.obs.profile` — the hierarchical verifier profiler, a
   subscriber: deterministic frame/op counts with wall-segregated
   self/cumulative times, rendered by ``repro profile``;
-- :mod:`repro.obs.frontier` — coverage-frontier attribution and
-  plateau detection over campaign iterations.
+- :mod:`repro.obs.frontier` — coverage-frontier attribution over
+  campaign iterations.
 
 Instrumented components do not take sink arguments — they read the
 **process-current sinks** held here: the metrics registry, the trace

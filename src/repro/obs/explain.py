@@ -416,8 +416,7 @@ def replay_iteration(config, iteration: int):
     from repro.kernel.syscall import Kernel
 
     replay_config = replace(config, budget=iteration, flight=False,
-                            profile=False, trace_path=None,
-                            heartbeat_dir=None)
+                            profile=False, trace_path=None)
     campaign = Campaign(replay_config)
     if iteration > 0:
         campaign.run()

@@ -1,26 +1,23 @@
-"""Coverage-frontier attribution and plateau detection.
+"""Coverage-frontier attribution.
 
 The coverage curve (Figure 6) says *whether* a campaign is still
 finding new verifier behaviour; this module says *which programs* are
-finding it and *when the search stalls*.  Every iteration whose
-verification touched new coverage edges is attributed to its generator
-frame composition (the sorted ``+``-joined frame kinds — e.g.
-``basic+jump``), its ``prog_type``, and its origin (generated vs
-mutated); a configurable iteration window with no new edges is a
-**plateau**, emitted as a ``campaign.plateau`` trace event and
-surfaced in heartbeats, ``repro watch``, and the report's frontier
-section.
+finding it.  Every iteration whose verification touched new coverage
+edges is attributed to its generator frame composition (the sorted
+``+``-joined frame kinds — e.g. ``basic+jump``), its ``prog_type``,
+and its origin (generated vs mutated); ``repro report`` renders the
+attribution as its frontier section.
 
-Everything here is deterministic: attribution counters, curves, and
-plateau records depend only on ``(seed, budget, shards)``.  Per-shard
-trackers run on local iteration numbers; :func:`shift_frontier`
-remaps a snapshot to global iterations and :func:`merge_frontiers`
-folds shards together worker-count-invariantly (counters sum, curves
-and plateaus interleave in global-iteration order).  Note the
-attribution semantics under sharding: "new" means new *to that
-shard* — shards are isolated, so the merged ``new_edges`` total is
-the sum of per-shard discoveries, not the global unique-edge count
-(which the coverage curve already reports).
+Everything here is deterministic: attribution counters and curves
+depend only on ``(seed, budget, shards)``.  Per-shard trackers run on
+local iteration numbers; :func:`shift_frontier` remaps a snapshot to
+global iterations and :func:`merge_frontiers` folds shards together
+worker-count-invariantly (counters sum, curves interleave in
+global-iteration order).  Note the attribution semantics under
+sharding: "new" means new *to that shard* — shards are isolated, so
+the merged ``new_edges`` total is the sum of per-shard discoveries,
+not the global unique-edge count (which the coverage curve already
+reports).
 """
 
 from __future__ import annotations
@@ -34,17 +31,11 @@ __all__ = [
     "render_frontier",
 ]
 
-#: Default stall window: iterations without a new edge before the
-#: campaign is declared plateaued.
-DEFAULT_PLATEAU_WINDOW = 200
-
 
 class FrontierTracker:
     """Per-shard coverage-frontier bookkeeping (deterministic)."""
 
-    def __init__(self, window: int = DEFAULT_PLATEAU_WINDOW) -> None:
-        #: stall window in iterations (0 disables plateau detection)
-        self.window = max(0, window)
+    def __init__(self) -> None:
         self.iterations = 0
         #: iterations that contributed at least one new edge
         self.contributing = 0
@@ -58,13 +49,6 @@ class FrontierTracker:
         self.by_origin: Counter = Counter()
         #: (iteration, new_edges) for every contributing iteration
         self.curve: list[tuple[int, int]] = []
-        #: plateau records, in detection order
-        self.plateaus: list[dict] = []
-        self._stalled = False
-
-    @property
-    def stalled(self) -> bool:
-        return self._stalled
 
     def note(
         self,
@@ -74,8 +58,8 @@ class FrontierTracker:
         frames,
         prog_type: str,
         origin: str,
-    ) -> dict | None:
-        """Fold one iteration in; returns a plateau event when one starts.
+    ) -> None:
+        """Fold one iteration in.
 
         ``frames`` is the frame-kind set
         (:meth:`~repro.fuzz.campaign.Campaign._frame_kinds`); the
@@ -83,57 +67,21 @@ class FrontierTracker:
         independent of set iteration order.
         """
         self.iterations = iteration + 1
-        if new_edges > 0:
-            if self._stalled:
-                # Recovery: close the open plateau.
-                plateau = self.plateaus[-1]
-                plateau["end"] = iteration
-                plateau["length"] = iteration - plateau["start"]
-                self._stalled = False
-            composition = "+".join(sorted(frames))
-            self.contributing += 1
-            self.new_edges += new_edges
-            self.last_new_iteration = iteration
-            self.by_frame[composition] += 1
-            self.edges_by_frame[composition] += new_edges
-            self.by_prog_type[prog_type] += 1
-            self.by_origin[origin] += 1
-            self.curve.append((iteration, new_edges))
-            return None
-        if (
-            self.window
-            and not self._stalled
-            and iteration - self.last_new_iteration >= self.window
-        ):
-            self._stalled = True
-            plateau = {
-                "start": self.last_new_iteration + 1,
-                "detected_at": iteration,
-                "end": None,
-                "length": None,
-            }
-            self.plateaus.append(plateau)
-            return dict(plateau)
-        return None
-
-    def heartbeat_state(self) -> dict:
-        """The deterministic frontier fields a heartbeat carries."""
-        stalled_for = (
-            self.iterations - 1 - self.last_new_iteration
-            if self.iterations
-            else 0
-        )
-        return {
-            "last_new_iteration": self.last_new_iteration,
-            "stalled_for": stalled_for,
-            "stalled": self._stalled,
-            "plateaus": len(self.plateaus),
-        }
+        if new_edges <= 0:
+            return
+        composition = "+".join(sorted(frames))
+        self.contributing += 1
+        self.new_edges += new_edges
+        self.last_new_iteration = iteration
+        self.by_frame[composition] += 1
+        self.edges_by_frame[composition] += new_edges
+        self.by_prog_type[prog_type] += 1
+        self.by_origin[origin] += 1
+        self.curve.append((iteration, new_edges))
 
     def snapshot(self) -> dict:
         """Plain-dict form (fully deterministic — no wall section)."""
         return {
-            "window": self.window,
             "iterations": self.iterations,
             "contributing": self.contributing,
             "new_edges": self.new_edges,
@@ -143,7 +91,6 @@ class FrontierTracker:
             "by_prog_type": dict(sorted(self.by_prog_type.items())),
             "by_origin": dict(sorted(self.by_origin.items())),
             "curve": [list(point) for point in self.curve],
-            "plateaus": [dict(plateau) for plateau in self.plateaus],
         }
 
 
@@ -158,15 +105,6 @@ def shift_frontier(snapshot: dict, offset: int) -> dict:
         [iteration + offset, new_edges]
         for iteration, new_edges in snapshot.get("curve", [])
     ]
-    plateaus = []
-    for plateau in snapshot.get("plateaus", []):
-        plateau = dict(plateau)
-        plateau["start"] += offset
-        plateau["detected_at"] += offset
-        if plateau.get("end") is not None:
-            plateau["end"] += offset
-        plateaus.append(plateau)
-    shifted["plateaus"] = plateaus
     return shifted
 
 
@@ -186,7 +124,6 @@ def merge_frontiers(snapshots: list[dict]) -> dict:
     if not snapshots:
         return {}
     merged: dict = {
-        "window": max(snap.get("window", 0) for snap in snapshots),
         "iterations": sum(snap.get("iterations", 0) for snap in snapshots),
         "contributing": sum(
             snap.get("contributing", 0) for snap in snapshots
@@ -201,14 +138,8 @@ def merge_frontiers(snapshots: list[dict]) -> dict:
         for snap in snapshots:
             counter.update(snap.get(family, {}))
         merged[family] = dict(sorted(counter.items()))
-    curve: list[list[int]] = []
-    plateaus: list[dict] = []
-    for snap in snapshots:
-        curve.extend(list(point) for point in snap.get("curve", []))
-        plateaus.extend(dict(p) for p in snap.get("plateaus", []))
-    merged["curve"] = sorted(curve)
-    merged["plateaus"] = sorted(
-        plateaus, key=lambda p: (p["start"], p["detected_at"])
+    merged["curve"] = sorted(
+        list(point) for snap in snapshots for point in snap.get("curve", [])
     )
     return merged
 
@@ -251,25 +182,5 @@ def render_frontier(frontier: dict, top: int = 8) -> list[str]:
             + " ".join(
                 f"{name}={count}" for name, count in sorted(by_origin.items())
             )
-        )
-    plateaus = frontier.get("plateaus", [])
-    if plateaus:
-        lines.append(
-            f"  plateaus (window {frontier.get('window', 0)} iterations):"
-        )
-        for plateau in plateaus:
-            end = plateau.get("end")
-            status = (
-                f"recovered at {end} (length {plateau.get('length')})"
-                if end is not None
-                else "still stalled"
-            )
-            lines.append(
-                f"    from iteration {plateau['start']} "
-                f"(detected at {plateau['detected_at']}): {status}"
-            )
-    else:
-        lines.append(
-            f"  no plateaus (window {frontier.get('window', 0)} iterations)"
         )
     return lines

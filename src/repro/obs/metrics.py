@@ -268,10 +268,10 @@ def _hit_rate(counters: dict, hits_key: str, misses_key: str) -> float:
 def cache_hit_rates(counters: dict) -> dict:
     """Hit rates of the verifier fast-path caches, from one counter map.
 
-    Shared by the ``repro report`` dashboard, the campaign heartbeats,
-    and ``benchmarks/test_throughput.py`` (whose ``caches`` section the
-    trajectory checker gates), so all three always agree on the
-    definition of each rate.
+    Shared by the ``repro report`` dashboard and
+    ``benchmarks/test_throughput.py`` (whose ``caches`` section the
+    trajectory checker gates), so both always agree on the definition
+    of each rate.
     """
     return {
         "tnum_memo_hit_rate": _hit_rate(

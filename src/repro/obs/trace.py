@@ -18,7 +18,7 @@ Two recorders implement the same duck-typed interface:
   stable, and every record carries the ``"v"`` schema version so
   consumers can evolve the format without sniffing.  Path-backed
   recorders rotate: once a file exceeds the byte cap
-  (``REPRO_TRACE_MAX_BYTES``, default 64 MiB) it is renamed to
+  (``DEFAULT_MAX_BYTES``, 64 MiB) it is renamed to
   ``<path>.1`` (replacing any previous rotation) and a fresh file is
   started, so an unattended campaign cannot fill the disk unboundedly.
 
@@ -126,11 +126,8 @@ class JsonlTraceRecorder:
 
     enabled = True
 
-    def __init__(self, path_or_stream, max_bytes: int | None = None) -> None:
-        if max_bytes is None:
-            max_bytes = int(
-                os.environ.get("REPRO_TRACE_MAX_BYTES", DEFAULT_MAX_BYTES)
-            )
+    def __init__(self, path_or_stream,
+                 max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self._max_bytes = max_bytes
         if hasattr(path_or_stream, "write"):
             self._stream = path_or_stream

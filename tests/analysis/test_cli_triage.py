@@ -62,12 +62,6 @@ class TestCli:
             for f in sorted(result.findings.values(), key=lambda f: f.iteration)
         ]
 
-    def test_bench_command_small(self, capsys):
-        assert main(["bench", "--budget", "20", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        for tool in ("bvf", "syzkaller", "buzzer"):
-            assert tool in out
-
     def test_selftest_command_clean_on_patched(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

@@ -1,34 +1,26 @@
-"""Coverage-frontier tests: attribution, plateaus, sharded merge,
-campaign/heartbeat/artifact integration.
+"""Coverage-frontier tests: attribution, sharded merge, campaign
+integration and the report section.
 
-Tentpole requirements covered here:
+Covered here:
 
 - every coverage-contributing iteration is attributed to its frame
   composition, prog type, and origin;
-- a configurable window with no new edges emits a plateau (and the
-  plateau closes on recovery);
 - per-shard snapshots shift to global iterations and merge
   worker-count invariantly;
-- heartbeats carry the frontier state and ``repro watch`` renders
-  stalled shards.
+- a campaign fills the snapshot ``repro report`` renders.
 """
 
 from __future__ import annotations
-
-import io
-import json
 
 import pytest
 
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.obs.frontier import (
-    DEFAULT_PLATEAU_WINDOW,
     FrontierTracker,
     merge_frontiers,
     render_frontier,
     shift_frontier,
 )
-from repro.obs.heartbeat import HeartbeatWriter, render_watch
 
 
 def note(tracker, iteration, edges, frames=("basic",), prog_type="XDP",
@@ -56,50 +48,10 @@ class TestTracker:
         assert snap["by_origin"] == {"bvf": 1, "bvf-mut": 1}
         assert snap["curve"] == [[0, 3], [2, 2]]
 
-    def test_plateau_detection_and_recovery(self):
-        tracker = FrontierTracker(window=5)
-        note(tracker, 0, 1)
-        events = [note(tracker, i, 0) for i in range(1, 10)]
-        fired = [e for e in events if e is not None]
-        assert len(fired) == 1  # emitted once, not every iteration
-        assert fired[0] == {"start": 1, "detected_at": 5,
-                            "end": None, "length": None}
-        assert tracker.stalled
-        note(tracker, 10, 2)  # recovery closes the plateau
-        assert not tracker.stalled
-        (plateau,) = tracker.snapshot()["plateaus"]
-        assert plateau["end"] == 10
-        assert plateau["length"] == 9
-
-    def test_second_plateau_after_recovery(self):
-        tracker = FrontierTracker(window=3)
-        note(tracker, 0, 1)
-        for i in range(1, 5):
-            note(tracker, i, 0)
-        note(tracker, 5, 1)
-        for i in range(6, 10):
-            note(tracker, i, 0)
-        assert len(tracker.snapshot()["plateaus"]) == 2
-
-    def test_window_zero_disables_detection(self):
-        tracker = FrontierTracker(window=0)
-        for i in range(50):
-            assert note(tracker, i, 0) is None
-        assert tracker.snapshot()["plateaus"] == []
-
-    def test_heartbeat_state(self):
-        tracker = FrontierTracker(window=4)
-        note(tracker, 0, 1)
-        for i in range(1, 6):
-            note(tracker, i, 0)
-        state = tracker.heartbeat_state()
-        assert state == {"last_new_iteration": 0, "stalled_for": 5,
-                         "stalled": True, "plateaus": 1}
-
 
 class TestShiftAndMerge:
     def _shard(self, offset=0):
-        tracker = FrontierTracker(window=3)
+        tracker = FrontierTracker()
         note(tracker, 0, 2)
         for i in range(1, 5):
             note(tracker, i, 0)
@@ -109,9 +61,9 @@ class TestShiftAndMerge:
         snap = self._shard(offset=100)
         assert snap["last_new_iteration"] == 100
         assert snap["curve"] == [[100, 2]]
-        (plateau,) = snap["plateaus"]
-        assert plateau["start"] == 101
-        assert plateau["detected_at"] == 103
+        # Counters carry no iteration numbers: the shift leaves them.
+        assert snap["iterations"] == 5
+        assert snap["by_frame"] == {"basic": 1}
 
     def test_shift_empty(self):
         assert shift_frontier({}, 10) == {}
@@ -124,7 +76,6 @@ class TestShiftAndMerge:
         assert merged["last_new_iteration"] == 5
         assert merged["by_frame"] == {"basic": 2}
         assert merged["curve"] == [[0, 2], [5, 2]]
-        assert [p["start"] for p in merged["plateaus"]] == [1, 6]
 
     def test_merge_order_independent(self):
         a, b = self._shard(0), self._shard(5)
@@ -143,7 +94,11 @@ class TestCampaignIntegration:
     def test_frontier_snapshot_populated(self, result):
         frontier = result.frontier
         assert frontier["iterations"] == result.generated
-        assert frontier["window"] == DEFAULT_PLATEAU_WINDOW
+        assert set(frontier) == {
+            "iterations", "contributing", "new_edges",
+            "last_new_iteration", "by_frame", "edges_by_frame",
+            "by_prog_type", "by_origin", "curve",
+        }
         assert frontier["contributing"] > 0
         assert frontier["by_frame"]
         assert frontier["by_prog_type"]
@@ -152,21 +107,6 @@ class TestCampaignIntegration:
     def test_no_frontier_without_coverage(self):
         config = CampaignConfig(budget=5, seed=0, collect_coverage=False)
         assert Campaign(config).run().frontier == {}
-
-    def test_plateau_event_emitted(self):
-        # A window of 1 guarantees stalls on any non-contributing
-        # iteration; the campaign must emit campaign.plateau events and
-        # count them in the metrics registry.
-        stream = io.StringIO()
-        config = CampaignConfig(budget=40, seed=2, plateau_window=1,
-                                trace_path=stream)
-        result = Campaign(config).run()
-        assert result.frontier["plateaus"]
-        names = [json.loads(line).get("name")
-                 for line in stream.getvalue().splitlines()]
-        assert "campaign.plateau" in names
-        plateaus = result.metrics["counters"].get("campaign.plateaus", 0)
-        assert plateaus == len(result.frontier["plateaus"])
 
     def test_rejected_iterations_attributed(self):
         # Rejections reach the frontier too: coverage.collect() sets
@@ -178,54 +118,19 @@ class TestCampaignIntegration:
         assert result.frontier["contributing"] > 0
 
 
-class TestHeartbeatSurface:
-    def test_heartbeat_carries_frontier(self, tmp_path):
-        writer = HeartbeatWriter(str(tmp_path), shard_index=0, budget=10)
-        writer.write(status="running", programs=5, accepted=3,
-                     frontier={"last_new_iteration": 1, "stalled_for": 3,
-                               "stalled": True, "plateaus": 1})
-        payload = json.loads(
-            (tmp_path / "shard00.heartbeat.json").read_text()
-        )
-        assert payload["v"] == 1
-        assert payload["frontier"]["stalled"] is True
-        # Deterministic field: lives at the top level, not under wall.
-        assert "frontier" not in payload["wall"]
-
-    def test_watch_renders_stalls(self):
-        snapshots = [
-            {"shard": 0, "status": "running", "programs": 30, "budget": 40,
-             "accepted": 10,
-             "frontier": {"last_new_iteration": 4, "stalled_for": 25,
-                          "stalled": True, "plateaus": 2}},
-            {"shard": 1, "status": "running", "programs": 30, "budget": 40,
-             "accepted": 10,
-             "frontier": {"last_new_iteration": 29, "stalled_for": 0,
-                          "stalled": False, "plateaus": 0}},
-        ]
-        frame = render_watch(snapshots)
-        assert "plateaus:" in frame
-        assert "shard0: stalled 25 iters" in frame
-        assert "shard1" not in frame.split("plateaus:")[1]
-
-    def test_watch_without_frontier_unchanged(self):
-        frame = render_watch([{"shard": 0, "status": "done",
-                               "programs": 10, "budget": 10,
-                               "accepted": 5}])
-        assert "plateaus:" not in frame
-
-
 class TestRender:
     def test_render_sections(self):
-        tracker = FrontierTracker(window=2)
+        tracker = FrontierTracker()
         note(tracker, 0, 4, frames={"basic", "call"})
         note(tracker, 1, 0)
         note(tracker, 2, 0)
         lines = render_frontier(tracker.snapshot())
         text = "\n".join(lines)
         assert "coverage frontier:" in text
+        assert "1 of 3 iterations contributed 4 new-edge discoveries" in text
         assert "basic+call" in text
-        assert "still stalled" in text
+        assert "contributing prog types: XDP=1" in text
+        assert "contributing origins: bvf=1" in text
 
     def test_render_empty_is_na(self):
         text = "\n".join(render_frontier({}))

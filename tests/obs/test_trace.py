@@ -135,12 +135,6 @@ class TestJsonlRecorder:
             rec.event("tick", i=i)
         assert len(parse_lines(stream)) == 20
 
-    def test_max_bytes_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "123")
-        rec = JsonlTraceRecorder(str(tmp_path / "t.jsonl"))
-        assert rec._max_bytes == 123
-        rec.close()
-
 
 class TestPhaseClock:
     def test_accumulates_across_blocks(self):
