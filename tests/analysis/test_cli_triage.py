@@ -62,6 +62,31 @@ class TestCli:
             for f in sorted(result.findings.values(), key=lambda f: f.iteration)
         ]
 
+    @pytest.mark.parametrize("command", ["watch", "bench"])
+    def test_removed_subcommand_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option",
+        ["--plateau-window", "--heartbeat-dir", "--heartbeat-every"],
+    )
+    def test_removed_option_rejected(self, option, capsys):
+        for command in ("fuzz", "campaign"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, option, "1"])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["plateau_window", "heartbeat_dir", "heartbeat_every"]
+    )
+    def test_removed_config_field_rejected(self, name):
+        with pytest.raises(TypeError):
+            CampaignConfig(**{name: 1})
+
     def test_selftest_command_clean_on_patched(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

@@ -12,9 +12,13 @@ Covered here:
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro.fuzz.campaign import Campaign, CampaignConfig
+from repro.fuzz.parallel import ParallelCampaign
 from repro.obs.frontier import (
     FrontierTracker,
     merge_frontiers,
@@ -48,6 +52,44 @@ class TestTracker:
         assert snap["by_origin"] == {"bvf": 1, "bvf-mut": 1}
         assert snap["curve"] == [[0, 3], [2, 2]]
 
+    def test_fresh_tracker_snapshot(self):
+        snap = FrontierTracker().snapshot()
+        assert snap["iterations"] == 0
+        assert snap["contributing"] == 0
+        assert snap["last_new_iteration"] == -1
+        assert snap["curve"] == []
+        assert render_frontier(snap)[1].strip().startswith("n/a")
+
+    def test_non_contributing_iterations_only_count(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 0)
+        note(tracker, 1, -1)
+        snap = tracker.snapshot()
+        assert snap["iterations"] == 2
+        assert snap["contributing"] == 0
+        assert snap["new_edges"] == 0
+        assert snap["last_new_iteration"] == -1
+        for family in ("by_frame", "edges_by_frame", "by_prog_type",
+                       "by_origin"):
+            assert snap[family] == {}
+
+    def test_composition_independent_of_frame_order(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 1, frames=("loop", "basic", "call"))
+        note(tracker, 1, 1, frames=["call", "loop", "basic"])
+        note(tracker, 2, 1, frames={"basic", "call", "loop"})
+        assert tracker.snapshot()["by_frame"] == {"basic+call+loop": 3}
+
+    def test_snapshot_counters_sorted(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 1, frames={"mem"}, prog_type="XDP", origin="bvf")
+        note(tracker, 1, 1, frames={"alu"}, prog_type="KPROBE",
+             origin="bvf-mut")
+        snap = tracker.snapshot()
+        for family in ("by_frame", "edges_by_frame", "by_prog_type",
+                       "by_origin"):
+            assert list(snap[family]) == sorted(snap[family])
+
 
 class TestShiftAndMerge:
     def _shard(self, offset=0):
@@ -67,6 +109,20 @@ class TestShiftAndMerge:
 
     def test_shift_empty(self):
         assert shift_frontier({}, 10) == {}
+
+    def test_shift_keeps_no_contribution_marker(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 0)
+        snap = shift_frontier(tracker.snapshot(), 50)
+        assert snap["last_new_iteration"] == -1
+        assert snap["curve"] == []
+
+    def test_shift_leaves_input_unchanged(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 2)
+        original = tracker.snapshot()
+        shift_frontier(original, 7)
+        assert original == tracker.snapshot()
 
     def test_merge_sums_and_interleaves(self):
         merged = merge_frontiers([self._shard(0), self._shard(5), {}])
@@ -117,6 +173,43 @@ class TestCampaignIntegration:
         assert result.accepted < result.generated
         assert result.frontier["contributing"] > 0
 
+    def test_counters_agree_with_totals(self, result):
+        frontier = result.frontier
+        for family in ("by_frame", "by_prog_type", "by_origin"):
+            assert sum(frontier[family].values()) == frontier["contributing"]
+        assert sum(frontier["edges_by_frame"].values()) == (
+            frontier["new_edges"]
+        )
+        assert set(frontier["edges_by_frame"]) == set(frontier["by_frame"])
+
+    def test_curve_agrees_with_totals(self, result):
+        frontier = result.frontier
+        curve = frontier["curve"]
+        assert len(curve) == frontier["contributing"]
+        assert sum(edges for _, edges in curve) == frontier["new_edges"]
+        assert curve[-1][0] == frontier["last_new_iteration"]
+        assert all(edges > 0 for _, edges in curve)
+
+    def test_no_plateau_record(self):
+        stream = io.StringIO()
+        config = CampaignConfig(budget=20, seed=2, trace_path=stream)
+        result = Campaign(config).run()
+        names = {json.loads(line).get("name")
+                 for line in stream.getvalue().splitlines()}
+        assert "campaign.plateau" not in names
+        assert "campaign.plateaus" not in result.metrics["counters"]
+        assert "plateaus" not in result.frontier
+
+    def test_sharded_curve_in_global_iterations(self):
+        config = CampaignConfig(budget=30, seed=2)
+        frontier = ParallelCampaign(config, workers=1, shards=3).run().frontier
+        assert frontier["iterations"] == 30
+        iterations = [iteration for iteration, _ in frontier["curve"]]
+        assert iterations == sorted(set(iterations))
+        assert 0 <= iterations[0] and iterations[-1] < 30
+        assert iterations[-1] == frontier["last_new_iteration"]
+        assert len(iterations) == frontier["contributing"]
+
 
 class TestRender:
     def test_render_sections(self):
@@ -131,6 +224,29 @@ class TestRender:
         assert "basic+call" in text
         assert "contributing prog types: XDP=1" in text
         assert "contributing origins: bvf=1" in text
+
+    def test_render_ranks_compositions_by_edges(self):
+        tracker = FrontierTracker()
+        note(tracker, 0, 1, frames={"alu"})
+        note(tracker, 1, 5, frames={"mem"})
+        note(tracker, 2, 3, frames={"jump"})
+        note(tracker, 3, 3, frames={"call"})
+        lines = render_frontier(tracker.snapshot(), top=3)
+        start = lines.index("  new edges by frame composition:") + 1
+        ranked = [line.split()[0] for line in lines[start:start + 3]]
+        # Most edges first; ties broken by composition name.
+        assert ranked == ["mem", "call", "jump"]
+        assert not any(line.split()[0] == "alu" for line in lines[start:])
+
+    def test_render_top_limits_prog_types(self):
+        tracker = FrontierTracker()
+        for iteration, prog_type in enumerate(
+            ["XDP", "KPROBE", "XDP", "SOCKET_FILTER", "KPROBE", "XDP"]
+        ):
+            note(tracker, iteration, 1, prog_type=prog_type)
+        text = "\n".join(render_frontier(tracker.snapshot(), top=2))
+        assert "contributing prog types: XDP=3 KPROBE=2\n" in text + "\n"
+        assert "SOCKET_FILTER" not in text
 
     def test_render_empty_is_na(self):
         text = "\n".join(render_frontier({}))

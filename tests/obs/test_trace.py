@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.obs.trace import (
+    DEFAULT_MAX_BYTES,
     NULL_RECORDER,
     RECORD_VERSION,
     JsonlTraceRecorder,
@@ -134,6 +135,14 @@ class TestJsonlRecorder:
         for i in range(20):
             rec.event("tick", i=i)
         assert len(parse_lines(stream)) == 20
+
+    def test_max_bytes_ignores_env(self, tmp_path, monkeypatch):
+        # The cap is the DEFAULT_MAX_BYTES constant or the max_bytes
+        # argument; no environment variable overrides it.
+        monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "123")
+        rec = JsonlTraceRecorder(str(tmp_path / "t.jsonl"))
+        assert rec._max_bytes == DEFAULT_MAX_BYTES
+        rec.close()
 
 
 class TestPhaseClock:
