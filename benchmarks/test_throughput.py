@@ -8,15 +8,10 @@ campaign computes — re-checks the serial/parallel equivalence contract
 at benchmark scale.
 
 Results land in ``BENCH_throughput.json`` next to the repo root so CI
-can archive the trajectory across PRs.  Knobs:
-
-- ``BVF_BENCH_BUDGET``   — programs per campaign (default 300);
-- ``BVF_BENCH_WORKERS``  — parallel worker count (default 4);
-- ``BVF_BENCH_MIN_SPEEDUP`` — required parallel speedup; defaults to
-  2.0 on machines with >= 4 CPUs and is skipped (0) on smaller boxes,
-  where fork-per-shard overhead cannot be amortised;
-- ``BVF_BENCH_OBSERVER_BUDGET`` — the most an installed no-op verifier
-  observer may cost, as a fraction of throughput (default 0.05).
+can archive the trajectory across PRs.  One knob,
+``BVF_BENCH_BUDGET``: programs per campaign (default 300; CI sets
+300).  The worker count, the speedup floor and the observer-overhead
+gate are the constants below.
 """
 
 from __future__ import annotations
@@ -35,11 +30,13 @@ from repro.obs.events import Observer
 from repro.obs.metrics import cache_hit_rates
 
 BUDGET = int(os.environ.get("BVF_BENCH_BUDGET", "300"))
-WORKERS = int(os.environ.get("BVF_BENCH_WORKERS", "4"))
+#: parallel worker count
+WORKERS = 4
 _CPUS = os.cpu_count() or 1
-MIN_SPEEDUP = float(
-    os.environ.get("BVF_BENCH_MIN_SPEEDUP", "2.0" if _CPUS >= 4 else "0")
-)
+#: required parallel speedup: 2.0 on machines with >= 4 CPUs, skipped
+#: (0) on smaller boxes, where fork-per-shard overhead cannot be
+#: amortised
+MIN_SPEEDUP = 2.0 if _CPUS >= 4 else 0
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 CONFIG = CampaignConfig(
@@ -49,9 +46,7 @@ CONFIG = CampaignConfig(
 #: Budget for an installed do-nothing verifier observer: the event
 #: hooks may cost at most this fraction of throughput versus no
 #: observer at all.
-OBSERVER_OVERHEAD_BUDGET = float(
-    os.environ.get("BVF_BENCH_OBSERVER_BUDGET", "0.05")
-)
+OBSERVER_OVERHEAD_BUDGET = 0.05
 
 #: Where the flight-events sample trace lands (CI archives it next to
 #: the throughput trajectory).

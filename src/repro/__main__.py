@@ -214,7 +214,7 @@ def _resolve_program(args: argparse.Namespace):
     return kernel, None, prog, args.sanitize, f"selftest {args.program!r}"
 
 
-def _repair_of(kernel, prog, explanation, sanitize: bool):
+def _repair_of(kernel, prog, explanation):
     """The verified minimal repair for an explained rejection, or None."""
     from repro.analysis.repair import synthesize_repair
 
@@ -224,7 +224,6 @@ def _repair_of(kernel, prog, explanation, sanitize: bool):
         reason=explanation.reason,
         message=explanation.message,
         insn_idx=explanation.insn_idx,
-        sanitize=sanitize,
     )
 
 
@@ -242,7 +241,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(describe_accepted(subject, args.kernel, prog=prog, gp=gp))
         return 0
 
-    repair = _repair_of(kernel, prog, explanation, sanitize)
+    repair = _repair_of(kernel, prog, explanation)
     if args.json:
         payload = explanation.to_dict()
         payload["repair"] = repair.to_dict() if repair else None
@@ -270,7 +269,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         print(f"{subject} accepted on {args.kernel} — nothing to repair")
         return 1
 
-    repair = _repair_of(kernel, prog, explanation, sanitize)
+    repair = _repair_of(kernel, prog, explanation)
     if repair is None:
         print(f"{subject} rejected ({explanation.reason}) but no "
               "candidate patch verified as accepted")

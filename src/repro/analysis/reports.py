@@ -328,14 +328,17 @@ def render_dashboard(artifact: dict) -> str:
             ),
         ]
         # Every program asks one outcome per profile plus one per
-        # classification replay; each is verified or answered from an
-        # earlier verification's reads (DESIGN §5e).
+        # classification replay; each is verified, or answered from the
+        # reads of the campaign's own load of the program or of an
+        # earlier differential verification (DESIGN §5e).
         counters = (artifact.get("metrics") or {}).get("counters", {})
         asked = (len(DEFAULT_PROFILES) * summary.get("generated", 0)
                  + counters.get("differential.replays", 0))
+        primary = counters.get("differential.primary", 0)
         reused = counters.get("differential.reused", 0)
-        lines.append(f"  verifications: {asked - reused} run, "
-                     f"{reused} answered from reads")
+        lines.append(f"  verifications: {asked - primary - reused} run, "
+                     f"{primary} answered by the primary load, "
+                     f"{reused} from earlier reads")
         rows = differential.get("divergences", [])
         if rows:
             lines.append(

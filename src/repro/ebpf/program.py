@@ -255,6 +255,10 @@ class VerifiedProgram:
     stats: dict[str, int] = field(default_factory=dict)
     #: whether sanitation instrumentation was applied
     sanitized: bool = False
+    #: the abstract R0 (a ``RegState``) of every path that left the
+    #: program, in exploration order: the differential oracle's range
+    #: fingerprint material (:mod:`repro.analysis.differential`)
+    exit_r0: list = field(default_factory=list)
 
     @property
     def prog_type(self) -> ProgType:

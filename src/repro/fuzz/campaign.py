@@ -18,6 +18,7 @@ Buzzer characterisation), and the deduplicated bug table (Table 2).
 
 from __future__ import annotations
 
+import contextlib
 import errno as _errno
 import time
 from collections import Counter
@@ -50,7 +51,13 @@ from repro.fuzz.structure import GeneratedProgram
 from repro.runtime.executor import Executor
 from repro.verifier.tnum import tnum_memo_stats
 
-__all__ = ["CampaignConfig", "CampaignResult", "Campaign", "make_generator"]
+__all__ = [
+    "CampaignConfig",
+    "CampaignResult",
+    "Campaign",
+    "make_generator",
+    "preload",
+]
 
 
 @dataclass
@@ -195,6 +202,26 @@ class CampaignResult:
         return alu_jmp / total
 
 
+def preload(config: CampaignConfig) -> None:
+    """Import every module a campaign of ``config`` imports on first use.
+
+    A campaign imports its optional layers lazily: an unused layer
+    costs nothing, and ``analysis.stats`` imports this module.
+    :class:`~repro.fuzz.parallel.ParallelCampaign` calls this before it
+    forks, so the workers inherit the modules instead of each importing
+    them again.
+    """
+    import repro.verifier.fixup  # noqa: F401 - every accepted load
+
+    if config.differential:
+        import repro.analysis.differential  # noqa: F401
+    if config.flight or config.repair_feedback:
+        import repro.ebpf.disasm  # noqa: F401
+        import repro.obs.explain  # noqa: F401
+    if config.repair_feedback:
+        import repro.analysis.repair  # noqa: F401
+
+
 def make_generator(tool: str, kernel: Kernel | None, rng: FuzzRng):
     """Instantiate the generator for a tool name.
 
@@ -244,6 +271,9 @@ class Campaign:
         self._flight = None
         self._profiler = None
         self._frontier = None
+        #: the config facts this iteration's primary load read (None
+        #: until it records; only with the differential oracle on)
+        self._primary_reads: dict | None = None
 
     # ------------------------------------------------------------------ run --
 
@@ -356,11 +386,6 @@ class Campaign:
         for kind in kinds:
             result.frame_generated[kind] += 1
 
-        if self.differential is not None:
-            with self._clock.phase("differential"):
-                for div in self.differential.run(gp, iteration):
-                    self._record_divergence(result, div, iteration)
-
         prog = BpfProgram(
             insns=list(gp.insns),
             prog_type=gp.prog_type,
@@ -368,10 +393,11 @@ class Campaign:
             offload_dev=gp.offload_dev,
         )
 
-        verified = None
+        verified = outcome = None
+        self._primary_reads = None
         with self._clock.phase("verify"):
             try:
-                verified = self._load(kernel, prog)
+                verified = outcome = self._load(kernel, prog)
             except InvariantViolation as violation:
                 # Not a verdict: the verifier's own abstract state broke.
                 self._reject(result, _errno.EFAULT, str(violation),
@@ -382,12 +408,25 @@ class Campaign:
                     iteration,
                 )
             except VerifierReject as reject:
+                outcome = reject
                 self._reject(result, reject.errno,
                              final_message(reject.log) or reject.message,
                              gp, iteration, kernel, prog)
             except BpfError as error:
+                outcome = error
                 self._reject(result, error.errno, error.message,
                              gp, iteration, kernel, prog)
+
+        if self.differential is not None:
+            # The primary load's reads and verdict answer every profile
+            # that agrees on those reads (DESIGN §5e); an invariant
+            # violation is no verdict, and gives no answer.
+            reads = self._primary_reads
+            primary = (None if outcome is None or reads is None
+                       else (reads, outcome))
+            with self._clock.phase("differential"):
+                for div in self.differential.run(gp, iteration, primary):
+                    self._record_divergence(result, div, iteration)
 
         # Frontier attribution covers every verdict: coverage.collect()
         # publishes ``last_new`` from its finally block, so rejected
@@ -431,16 +470,21 @@ class Campaign:
         if rec.enabled:
             rec.event("campaign.reject", errno=errno, reason=reason,
                       message=message)
+        repair = (self.config.repair_feedback and kernel is not None
+                  and prog is not None)
+        # The repair templates always need the program's dataflow; an
+        # explanation's root cause reads the same analysis.
+        flow = None
+        if repair:
+            from repro.analysis.dataflow import analyze
+
+            flow = analyze(prog.insns)
         if self._flight is not None:
             self._explain_reject(result, errno, message, reason,
-                                 gp, iteration)
-        if (
-            self.config.repair_feedback
-            and kernel is not None
-            and prog is not None
-        ):
+                                 gp, iteration, flow)
+        if repair:
             self._attempt_repair(result, reason, message, gp,
-                                 iteration, kernel, prog)
+                                 iteration, kernel, prog, flow)
 
     def _explain_reject(
         self,
@@ -450,10 +494,12 @@ class Campaign:
         reason: str,
         gp: GeneratedProgram | None,
         iteration: int,
+        flow=None,
     ) -> None:
         """Spill the flight ring for a rejection and keep one
         explanation per taxonomy reason (the earliest iteration).  The
-        ring is rendered only when the trace or a new reason reads it."""
+        ring is rendered only when the trace or a new reason reads it.
+        ``flow`` is the program's dataflow analysis, if already run."""
         rec = obs.recorder()
         explained = reason in result.reject_explanations
         if explained and not rec.enabled:
@@ -474,6 +520,7 @@ class Campaign:
             errno=errno,
             program=f"{gp.origin}_{iteration}" if gp is not None else None,
             insns=gp.insns if gp is not None else None,
+            flow=flow,
         )
         entry = explanation.to_dict()
         entry["iteration"] = iteration
@@ -488,6 +535,7 @@ class Campaign:
         iteration: int,
         kernel: Kernel,
         prog: BpfProgram,
+        flow,
     ) -> None:
         """Synthesize + verify a minimal patch for one rejection.
 
@@ -504,11 +552,9 @@ class Campaign:
         result.repairs_attempted[reason] += 1
         obs.metrics().counter("campaign.repair.attempted")
         insn_idx = max(self._flight.rejected_at() or 0, 0)
-        sanitize = self.config.sanitize and kernel.config.sanitizer_available
         repair = synthesize_repair(
             kernel, prog,
-            reason=reason, message=message, insn_idx=insn_idx,
-            sanitize=sanitize,
+            reason=reason, message=message, insn_idx=insn_idx, flow=flow,
         )
         if repair is None:
             return
@@ -552,6 +598,14 @@ class Campaign:
         self._record(result, self.oracle.classify_divergence(div), iteration)
 
     def _load(self, kernel: Kernel, prog: BpfProgram):
+        """The primary ``prog_load`` of one iteration.
+
+        With the differential oracle on, every config fact the load
+        reads is recorded into ``_primary_reads``
+        (:func:`repro.analysis.differential.recording_reads`).  The
+        recording ends with the load, inside the coverage window, so
+        nothing after it reads through the recorder.
+        """
         sanitize = self.config.sanitize and kernel.config.sanitizer_available
         check = self.config.check_invariants
         # Root profiler frame: everything the verify phase pays for runs
@@ -566,13 +620,20 @@ class Campaign:
         if self._flight is not None:
             token = obs.install(obs.metrics(), obs.recorder(),
                                 obs.compose(self._flight, obs.observer()))
+        recording = contextlib.nullcontext()
+        if self.differential is not None:
+            from repro.analysis.differential import recording_reads
+
+            self._primary_reads = {}
+            recording = recording_reads(kernel, self._primary_reads)
         try:
             if self.config.collect_coverage:
-                with self.coverage.collect():
+                with self.coverage.collect(), recording:
                     return kernel.prog_load(prog, sanitize=sanitize,
                                             check_invariants=check)
-            return kernel.prog_load(prog, sanitize=sanitize,
-                                    check_invariants=check)
+            with recording:
+                return kernel.prog_load(prog, sanitize=sanitize,
+                                        check_invariants=check)
         finally:
             if token is not None:
                 obs.restore(token)

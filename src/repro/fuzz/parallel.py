@@ -52,7 +52,12 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.fuzz.campaign import Campaign, CampaignConfig, CampaignResult
+from repro.fuzz.campaign import (
+    Campaign,
+    CampaignConfig,
+    CampaignResult,
+    preload,
+)
 from repro.fuzz.corpus import specs_of
 from repro.fuzz.coverage import install_probes
 from repro.fuzz.oracle import BugFinding
@@ -300,6 +305,8 @@ class ParallelCampaign:
         if self.config.collect_coverage:
             # Instrument once, here: forked workers inherit the probes.
             install_probes()
+        # Likewise the modules a shard imports on first use.
+        preload(self.config)
         if workers <= 1 or len(plan) <= 1:
             _worker_init()
             shard_results = [_run_shard(payload) for payload in plan]

@@ -203,6 +203,7 @@ def explain_events(
     program: str | None = None,
     insns=None,
     trail: int = TRAIL_LENGTH,
+    flow=None,
 ) -> Explanation:
     """Reconstruct an explanation from a recorded event list.
 
@@ -210,7 +211,9 @@ def explain_events(
     ``verdict`` event carries (the campaign passes the post-processed
     ``final_message`` form, which is what the taxonomy classifies).
     ``insns`` (the submitted instruction list) enables disassembly of
-    the failing instruction.
+    the failing instruction; ``flow``, their
+    :func:`~repro.analysis.dataflow.analyze` result when the caller
+    already has it, spares the root-cause pass its own analysis.
     """
     verdict_event: dict | None = None
     for event in reversed(events):
@@ -253,7 +256,7 @@ def explain_events(
 
     root_cause = None
     if insns is not None and 0 <= insn_idx < len(insns):
-        root_cause = _root_cause(insns, insn_idx, message)
+        root_cause = _root_cause(insns, insn_idx, message, flow)
 
     return Explanation(
         program=program,
@@ -269,7 +272,8 @@ def explain_events(
     )
 
 
-def _root_cause(insns, insn_idx: int, message: str) -> dict | None:
+def _root_cause(insns, insn_idx: int, message: str,
+                flow=None) -> dict | None:
     """Backfill the failing instruction with its root-cause def site.
 
     The verifier reports where it *noticed* the problem; the
@@ -298,7 +302,7 @@ def _root_cause(insns, insn_idx: int, message: str) -> dict | None:
         reg = uses[0]
 
     try:
-        prov = bound_provenance(insns, insn_idx, reg)
+        prov = bound_provenance(insns, insn_idx, reg, flow=flow)
     except (IndexError, ValueError):  # pragma: no cover - defensive
         return None
     if prov.root_idx == insn_idx:

@@ -370,8 +370,10 @@ def check_kfunc_call(v, state, insn: Insn) -> None:
         regs[Reg.R0] = reg
     else:
         # Bug #3: the flawed verifier forgets to invalidate R0, keeping
-        # whatever scalar bounds it had before the call.
-        if v.has_flaw(Flaw.KFUNC_BACKTRACK) and stale_r0.is_scalar():
+        # whatever scalar bounds it had before the call.  Only a scalar
+        # R0 has bounds to keep.
+        scalar = stale_r0.is_scalar()
+        if v.has_flaw(Flaw.KFUNC_BACKTRACK, decides=scalar) and scalar:
             regs[Reg.R0] = stale_r0
         else:
             regs[Reg.R0] = RegState.unknown_scalar()

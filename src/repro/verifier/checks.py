@@ -633,7 +633,11 @@ def _check_btf_access(v, state, insn, reg, off, size, is_write):
     total = off + reg.off
     obj_size = reg.btf.type.size
     # Bug #2: the flawed bounds check tolerates 8 bytes past the end.
-    slack = 8 if v.has_flaw(Flaw.TASK_STRUCT_OOB) else 0
+    # Only an access ending inside that slack is decided by the flaw.
+    slack = 8 if v.has_flaw(
+        Flaw.TASK_STRUCT_OOB,
+        decides=total >= 0 and obj_size < total + size <= obj_size + 8,
+    ) else 0
     if total < 0 or total + size > obj_size + slack:
         v.reject(
             errno.EACCES,

@@ -179,6 +179,9 @@ class Verifier:
         self.exit_r0_summaries: list[tuple] | None = (
             [] if collect_exit_states else None
         )
+        #: the abstract R0 of every path that leaves the program,
+        #: always kept (:attr:`VerifiedProgram.exit_r0`)
+        self.exit_r0: list[RegState] = []
         self.log = VerifierLog(log_level)
         self.env = VerifierEnv(self.log, self.config.complexity_limit)
         self.env.observer = self.observer
@@ -211,8 +214,16 @@ class Verifier:
             self.observer.verdict("reject", err, self.cur_insn_idx, message)
         raise VerifierReject(err, message, log=self.log.text())
 
-    def has_flaw(self, flaw: Flaw) -> bool:
-        return self.config.has_flaw(flaw)
+    def has_flaw(self, flaw: Flaw, decides: bool = True) -> bool:
+        """Whether ``flaw`` is active.
+
+        A caller passes ``decides=False`` where its decision is the
+        same whichever the answer; the answer is then False and the
+        config is not read, so a recorded load (DESIGN §5e) depends on
+        fewer facts.  A call site calls this either way: the call
+        itself is a coverage block.
+        """
+        return decides and self.config.has_flaw(flaw)
 
     def mark_probe_mem(self, idx: int) -> None:
         self.probe_mem.add(idx)
@@ -624,6 +635,10 @@ class Verifier:
             self.reject(
                 errno.EINVAL, "bpf_spin_lock is held but program exits"
             )
+        # Kept unconditionally, ahead of the ``if`` below, so that a
+        # load which keeps its exit states runs through the same blocks
+        # as one that does not: a coverage window sees no difference.
+        self.exit_r0.append(r0)
         if self.exit_r0_summaries is not None:
             # Final-range fingerprint material for the differential
             # oracle: the abstract R0 this path exits with.
@@ -786,12 +801,18 @@ class Verifier:
                 eq_state = taken_state if op == JmpOp.JEQ else false_state
                 eq_dst = t_dst if op == JmpOp.JEQ else f_dst
                 eq_src = t_src if op == JmpOp.JEQ else f_src
+                # The flaw drops the filter for PTR_TO_BTF_ID operands,
+                # so only a comparison with one can be decided by it.
                 branches.propagate_nullness(
                     eq_state,
                     eq_dst,
                     eq_src,
                     self.config,
-                    flaw_active=self.has_flaw(Flaw.NULLNESS_PROPAGATION),
+                    flaw_active=self.has_flaw(
+                        Flaw.NULLNESS_PROPAGATION,
+                        decides=RegType.PTR_TO_BTF_ID
+                        in (eq_dst.type, eq_src.type),
+                    ),
                 )
                 return
 

@@ -115,6 +115,7 @@ def run_fixup(v) -> VerifiedProgram:
         stack_depth=v.max_stack_depth,
         uses_lock_helpers=v.uses_lock_helpers,
         sanitized=sanitize,
+        exit_r0=v.exit_r0,
         stats={
             "insns_processed": v.env.insns_processed,
             "states_pushed": v.env.states_pushed,

@@ -24,6 +24,7 @@ from repro.analysis.differential import (
     Divergence,
     ProfileOutcome,
     _ReadRecorder,
+    recording_reads,
 )
 from repro.errors import BpfError, VerifierReject
 from repro.fuzz.generator import StructuredGenerator
@@ -456,7 +457,8 @@ class TestReadRecorder:
         cfg_a, cfg_b = PROFILES["v5.15"](), PROFILES["bpf-next"]()
         # A record that agrees with every config answers every single
         # toggle, none of them with the (unreachable) target.
-        memo = [({}, ProfileOutcome("v5.15", "accept"))]
+        memo = [({}, ProfileOutcome("v5.15", "accept"),
+                 "differential.reused")]
         target = ProfileOutcome("bpf-next", "accept", fingerprint=("x",))
         assert oracle._classify(self.gp(), cfg_a, cfg_b, target, memo) == (
             "unexplained", "outcome not reproduced by any registry delta")
@@ -465,3 +467,78 @@ class TestReadRecorder:
             **{name: getattr(cfg_b, name)
                for name in differential._FEATURE_FIELDS},
         )]
+
+
+def _primary_load(kernel, gp) -> tuple:
+    """The campaign's primary load of ``gp`` on the kernel it was built
+    on, under a read recorder: (reads, returned program or error)."""
+    reads: dict = {}
+    prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type,
+                      name="primary", offload_dev=gp.offload_dev)
+    with recording_reads(kernel, reads):
+        try:
+            return reads, kernel.prog_load(prog, sanitize=True)
+        except BpfError as error:
+            return reads, error
+
+
+class TestPrimaryLoadRecord:
+    """The primary load's record answers exactly what ``verify_under``
+    of the same program on the same config would."""
+
+    def subjects(self):
+        rng = FuzzRng(9)
+        generator = StructuredGenerator(None, rng)
+        for _ in range(GENERATED_PER_SEED * 3):
+            kernel = Kernel(PROFILES["bpf-next"]())
+            yield kernel, generator.generate(kernel)
+        for selftest in all_selftests_extended():
+            kernel = Kernel(PROFILES["bpf-next"]())
+            prog = selftest.build(kernel)
+            yield kernel, GeneratedProgram(
+                insns=list(prog.insns),
+                prog_type=prog.prog_type,
+                maps=[obj for obj in kernel._fds.values()
+                      if isinstance(obj, BpfMap)],
+                plan=ExecutionPlan(),
+            )
+
+    def test_outcome_and_reads_match_verify_under(self):
+        oracle, verdicts = DifferentialOracle(()), set()
+        for index, (kernel, gp) in enumerate(self.subjects()):
+            reads, result = _primary_load(kernel, gp)
+            verify_reads: dict = {}
+            expected = oracle.verify_under(kernel.config, gp,
+                                           reads=verify_reads)
+            recorded, outcome, counter = differential._load_record(
+                reads, result)
+            assert outcome == replace(expected, profile=""), index
+            assert counter == "differential.primary"
+            # The sanitizer pass adds one feature read, the same in
+            # every profile; everything else was read alike.
+            assert reads.keys() - verify_reads.keys() <= {
+                "sanitizer_available"}, index
+            assert verify_reads.items() <= reads.items(), index
+            verdicts.add((outcome.verdict, bool(outcome.fingerprint)))
+        assert verdicts == {("accept", True), ("reject", False)}
+
+    def test_poisoned_load_gives_no_record(self):
+        kernel = Kernel(PROFILES["bpf-next"]())
+        reads, result = _primary_load(kernel,
+                                      TestKfuncBacktrackWitness().witness())
+        assert differential._load_record(reads, result) is not None
+        reads[differential._POISONED] = "flaws"
+        assert differential._load_record(reads, result) is None
+
+    def test_campaign_never_verifies_its_own_profile(self, verifications):
+        from repro.fuzz.campaign import Campaign, CampaignConfig
+
+        result = Campaign(CampaignConfig(budget=40, seed=3,
+                                         differential=True)).run()
+        counters = result.metrics["counters"]
+        assert counters["differential.primary"] >= result.generated
+        assert PROFILES["bpf-next"]() not in verifications
+        assert len(verifications) + counters["differential.primary"] + \
+            counters["differential.reused"] == (
+                len(DEFAULT_PROFILES) * result.generated
+                + counters.get("differential.replays", 0))

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
 from repro import obs
+from repro.errors import BpfError, InvariantViolation
 from repro.fuzz.campaign import Campaign, CampaignConfig, make_generator
+from repro.fuzz.coverage import VerifierCoverage
 from repro.fuzz.rng import FuzzRng
-from repro.kernel.config import PROFILES
-from repro.kernel.syscall import Kernel
+from repro.kernel.config import PROFILES, KernelConfig
+from repro.kernel.syscall import Kernel, replay_kernel
 from repro.obs.events import FlightRecorder
 
 
@@ -139,3 +144,83 @@ class TestFlightScope:
         assert result.repairs_attempted == wide.repairs_attempted
         assert result.repairs_verified == wide.repairs_verified
         assert result.repair_examples == wide.repair_examples
+
+
+class TestDifferentialNeverSteers:
+    """The differential oracle reads the primary load's config reads
+    and verdict; it must never change what the campaign does.  A
+    recorder that added or skipped one coverage block on the primary
+    load would show here as a different edge sample."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("repair_feedback", [False, True],
+                             ids=["plain", "repair-feedback"])
+    def test_same_campaign_with_and_without(self, seed, repair_feedback):
+        def run(differential: bool):
+            return Campaign(CampaignConfig(
+                budget=120, seed=seed, differential=differential,
+                repair_feedback=repair_feedback)).run()
+
+        off, on = run(False), run(True)
+        assert on.divergences and not off.divergences
+        assert on.edge_samples == off.edge_samples
+        assert on.accepted == off.accepted
+        assert on.corpus_size == off.corpus_size
+        assert on.reject_reasons == off.reject_reasons
+        assert on.repairs_verified == off.repairs_verified
+
+
+class TestPrimaryLoadReplaySafe:
+    """A harness may replay the primary ``prog_load`` once its coverage
+    window closes, on a fresh kernel booted from ``kernel.config`` (the
+    benchmark's shadow load does).  By then the read recorder is gone,
+    so the replay reads the real config and records nothing."""
+
+    def test_replay_after_the_window_changes_nothing(self, monkeypatch):
+        config = CampaignConfig(budget=60, seed=4, differential=True,
+                                repair_feedback=True)
+        plain = Campaign(config).run()
+
+        loads, replayed = [], []
+        prog_load, collect = Kernel.prog_load, VerifierCoverage.collect
+
+        def noted_load(kernel, prog, *args, **kwargs):
+            loads.append((kernel, prog, args, kwargs))
+            return prog_load(kernel, prog, *args, **kwargs)
+
+        @contextmanager
+        def replaying_collect(self):
+            del loads[:]
+            try:
+                with collect(self) as edges:
+                    yield edges
+            finally:
+                for kernel, prog, args, kwargs in loads[:1]:
+                    assert type(kernel.config) is KernelConfig
+                    assert kernel.helpers.config is kernel.config
+                    shadow = replay_kernel(
+                        kernel.config,
+                        SimpleNamespace(maps=list(_maps_of(kernel))))
+                    try:
+                        prog_load(shadow, prog, *args, **kwargs)
+                    except (BpfError, InvariantViolation):
+                        pass
+                    replayed.append(prog.name)
+
+        monkeypatch.setattr(Kernel, "prog_load", noted_load)
+        monkeypatch.setattr(VerifierCoverage, "collect", replaying_collect)
+        shadowed = Campaign(config).run()
+        assert len(replayed) == config.budget
+        assert shadowed.divergences == plain.divergences
+        assert shadowed.findings.keys() == plain.findings.keys()
+        assert shadowed.edge_samples == plain.edge_samples
+        assert (shadowed.metrics["counters"]["differential.primary"]
+                == plain.metrics["counters"]["differential.primary"])
+
+
+def _maps_of(kernel):
+    """The maps of ``kernel``, in fd order."""
+    fd = 3
+    while (bpf_map := kernel.map_by_fd(fd)) is not None:
+        yield bpf_map
+        fd += 1

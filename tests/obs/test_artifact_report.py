@@ -127,11 +127,14 @@ class TestDashboard:
         monkeypatch.setattr(DifferentialOracle, "verify_under", counted)
         result = Campaign(CampaignConfig(budget=30, seed=3,
                                          differential=True)).run()
-        reused = result.metrics["counters"]["differential.reused"]
-        assert reused > 0
+        counters = result.metrics["counters"]
+        primary = counters["differential.primary"]
+        reused = counters["differential.reused"]
+        assert primary > 0 and reused > 0
         text = render_dashboard(build_artifact(result))
-        assert (f"  verifications: {len(calls)} run, {reused} answered "
-                f"from reads") in text.splitlines()
+        assert (f"  verifications: {len(calls)} run, {primary} answered "
+                f"by the primary load, {reused} from earlier reads"
+                ) in text.splitlines()
 
     def test_report_cli(self, serial_result, tmp_path, capsys):
         path = tmp_path / "metrics.json"
