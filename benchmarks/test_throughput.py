@@ -7,11 +7,13 @@ programs/sec, and — because worker count must never change *what* a
 campaign computes — re-checks the serial/parallel equivalence contract
 at benchmark scale.
 
-Results land in ``BENCH_throughput.json`` next to the repo root so CI
-can archive the trajectory across PRs.  One knob,
-``BVF_BENCH_BUDGET``: programs per campaign (default 300; CI sets
-300).  The worker count, the speedup floor and the observer-overhead
-gate are the constants below.
+Results are printed, not kept: wall time is compared within one run
+(serial vs parallel, no observer vs a no-op one), since across runs it
+is host noise.  Across changes, wall time is perfbench's job and the
+seed-determined work counts are ``benchmarks/check_baseline.py``'s.
+One knob, ``BVF_BENCH_BUDGET``: programs per campaign (default 300; CI
+sets 300).  The worker count, the speedup floor and the
+observer-overhead gate are the constants below.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 from repro import obs
 from repro.analysis.stats import ThroughputStats
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.parallel import ParallelCampaign
 from repro.obs.events import Observer
-from repro.obs.metrics import cache_hit_rates
 
 BUDGET = int(os.environ.get("BVF_BENCH_BUDGET", "300"))
 #: parallel worker count
@@ -37,7 +36,7 @@ _CPUS = os.cpu_count() or 1
 #: (0) on smaller boxes, where fork-per-shard overhead cannot be
 #: amortised
 MIN_SPEEDUP = 2.0 if _CPUS >= 4 else 0
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = CampaignConfig(
     tool="bvf", kernel_version="bpf-next", budget=BUDGET, seed=0
@@ -48,23 +47,14 @@ CONFIG = CampaignConfig(
 #: observer at all.
 OBSERVER_OVERHEAD_BUDGET = 0.05
 
-#: Where the flight-events sample trace lands (CI archives it next to
-#: the throughput trajectory).
-EVENTS_OUTPUT = OUTPUT.with_name("BENCH_events.jsonl")
+#: Where the flight-events sample trace lands (CI archives it, so a
+#: failed run's rejections can be explained post hoc).
+EVENTS_OUTPUT = REPO_ROOT / "BENCH_events.jsonl"
 
-#: Where the profile summary of the enabled-mode campaign lands (CI
-#: archives it next to the throughput trajectory, so each PR carries a
-#: per-check-family view of where verification time went).
-PROFILE_OUTPUT = OUTPUT.with_name("BENCH_profile.json")
-
-
-def _load_payload() -> dict:
-    if OUTPUT.exists():
-        try:
-            return json.loads(OUTPUT.read_text())
-        except ValueError:
-            pass
-    return {}
+#: Where the profile summary of the profiler-enabled campaign lands (CI
+#: archives it, so each PR carries a per-check-family view of where
+#: verification time went).
+PROFILE_OUTPUT = REPO_ROOT / "BENCH_profile.json"
 
 
 def test_parallel_throughput():
@@ -85,32 +75,6 @@ def test_parallel_throughput():
         else 0.0
     )
 
-    payload = _load_payload()
-    payload.update({
-        "budget": BUDGET,
-        "workers": WORKERS,
-        "cpus": _CPUS,
-        "serial": serial_stats.as_dict(),
-        "parallel": parallel_stats.as_dict(),
-        "speedup": round(speedup, 2),
-        "bugs_found": len(parallel.findings),
-        "merged_coverage": parallel.final_coverage,
-        # Fast-path cache effectiveness (serial run: one process, so
-        # the process-global tnum memo numbers are self-contained).
-        # check_throughput_trajectory.py gates these and the serial
-        # verify_fraction across CI runs.
-        "caches": cache_hit_rates(serial.metrics.get("counters", {})),
-        # Rejection-reason distribution for the drift gate
-        # (benchmarks/check_taxonomy_drift.py).  Deterministic for a
-        # fixed (seed, budget, shards), so any change between CI runs
-        # is a real behaviour change, not noise.
-        "taxonomy": {
-            "generated": serial.generated,
-            "by_reason": dict(sorted(serial.reject_reasons.items())),
-        },
-    })
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-
     print("\n=== Throughput (serial vs parallel) ===")
     print(f"budget {BUDGET}, {WORKERS} workers on {_CPUS} CPU(s)")
     print(f"serial:   {serial_stats.programs_per_sec:8.1f} programs/sec "
@@ -119,7 +83,6 @@ def test_parallel_throughput():
           f"({parallel_stats.wall_seconds:.2f}s wall, "
           f"{parallel_stats.parallelism:.1f}x effective parallelism)")
     print(f"speedup:  {speedup:.2f}x (required: {MIN_SPEEDUP or 'n/a'})")
-    print(f"wrote {OUTPUT.name}")
 
     assert parallel_stats.programs_per_sec > 0
     if MIN_SPEEDUP:
@@ -150,38 +113,6 @@ def _write_profile(result) -> None:
     print(render_profile(result.profile, top=5))
 
 
-def _score_repairs(result) -> dict:
-    """Repair side output: per-reason verified-repair rates.
-
-    They land under ``repair_feedback``;
-    ``check_throughput_trajectory.py --max-repair-rate-drop`` fails CI
-    when the overall verified rate collapses relative to the previous
-    run — the earliest symptom of a patch template or provenance-pass
-    regression, since campaigns are seed-deterministic.
-    """
-    attempted = sum(result.repairs_attempted.values())
-    verified = sum(result.repairs_verified.values())
-    print(f"verified repairs: {verified}/{attempted} "
-          f"({verified / attempted if attempted else 0.0:.1%})")
-    assert attempted > 0, "benchmark campaign produced no rejections"
-    return {
-        "attempted": attempted,
-        "verified": verified,
-        "verified_rate": verified / attempted,
-        "by_reason": {
-            reason: {
-                "attempted": result.repairs_attempted[reason],
-                "verified": result.repairs_verified.get(reason, 0),
-                "verified_rate": (
-                    result.repairs_verified.get(reason, 0)
-                    / result.repairs_attempted[reason]
-                ),
-            }
-            for reason in sorted(result.repairs_attempted)
-        },
-    }
-
-
 class _NoopObservedCampaign(Campaign):
     """A campaign whose loads run under an installed do-nothing
     observer: every verifier hook calls through, nothing is kept."""
@@ -196,30 +127,15 @@ class _NoopObservedCampaign(Campaign):
             obs.restore(token)
 
 
-#: ``BENCH_throughput.json`` subscriber name -> the CampaignConfig flag
-#: that turns that subscriber on
-SUBSCRIBERS = {
-    "invariant_checker": "check_invariants",
-    "flight_recorder": "flight",
-    "profiler": "profile",
-    "repair_feedback": "repair_feedback",
-}
-
-
 def test_observer_overhead():
-    """What the verifier's event hooks cost, gated; what each real
-    subscriber costs, recorded.
+    """What the verifier's event hooks cost, gated.
 
     Two modes run the same seeded campaign: ``baseline`` (no observer:
     every hook site is one ``is not None`` test) and ``noop`` (a
     do-nothing :class:`~repro.obs.events.Observer` installed, so every
     hook calls through).  Their difference is the price of the hooks
-    themselves, and is gated at ``OBSERVER_OVERHEAD_BUDGET`` (here
-    *and* by ``check_throughput_trajectory.py --max-observer-overhead``).
-    Then one campaign per real subscriber (checker, flight recorder,
-    profiler, repair feedback) records its enabled overhead, ungated —
-    opt-in diagnostics may cost what they cost — and the profiler and
-    repair runs write their side outputs.
+    themselves, and is gated at ``OBSERVER_OVERHEAD_BUDGET``.  Then one
+    profiler-enabled campaign writes ``BENCH_profile.json``.
 
     Methodology: one **warm-up** campaign per mode first — the first
     campaigns of a process pay one-off costs (coverage-probe install,
@@ -236,8 +152,7 @@ def test_observer_overhead():
             tool="bvf", kernel_version="bpf-next", budget=BUDGET,
             seed=0, **flags
         )
-        result = campaign_class(config).run()
-        return result, ThroughputStats.from_result(result).programs_per_sec
+        return campaign_class(config).run()
 
     modes = {"baseline": Campaign, "noop": _NoopObservedCampaign}
     for campaign_class in modes.values():  # warm-up, discarded
@@ -245,42 +160,19 @@ def test_observer_overhead():
     rounds: dict[str, list[float]] = {mode: [] for mode in modes}
     for _ in range(3):
         for mode, campaign_class in modes.items():
-            rounds[mode].append(run(campaign_class)[1])
+            rounds[mode].append(ThroughputStats.from_result(
+                run(campaign_class)).programs_per_sec)
     baseline = median(rounds["baseline"])
     noop = median(rounds["noop"])
     overhead = 1.0 - noop / baseline
 
-    payload = _load_payload()
-    enabled = {}
-    for name, flag in SUBSCRIBERS.items():
-        result, pps = run(**{flag: True})
-        enabled[name] = {
-            "programs_per_sec": round(pps, 2),
-            "overhead": round(1.0 - pps / baseline, 4),
-        }
-        if flag == "profile":
-            _write_profile(result)
-        elif flag == "repair_feedback":
-            payload["repair_feedback"] = _score_repairs(result)
-
-    payload["observer"] = {
-        "budget": BUDGET,
-        "baseline_programs_per_sec": round(baseline, 2),
-        "noop_programs_per_sec": round(noop, 2),
-        "overhead": round(overhead, 4),
-        "overhead_budget": OBSERVER_OVERHEAD_BUDGET,
-        "enabled": enabled,
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_profile(run(profile=True))
 
     print("\n=== verifier observer overhead (serial) ===")
     print(f" baseline: {baseline:8.1f} programs/sec")
     print(f"     noop: {noop:8.1f} programs/sec")
     print(f"no-op observer overhead: {overhead:+.1%} "
           f"(budget {OBSERVER_OVERHEAD_BUDGET:.0%})")
-    for name, entry in enabled.items():
-        print(f"{name:>17}: {entry['programs_per_sec']:8.1f} programs/sec "
-              f"({entry['overhead']:+.1%}, not gated)")
 
     assert overhead <= OBSERVER_OVERHEAD_BUDGET, (
         f"an installed no-op observer costs {overhead:.1%}, over the "
@@ -357,14 +249,6 @@ def test_coverage_cost():
     assert len(edge_sets) == 1, "the same batch recorded different edges"
     (edges,) = edge_sets
     assert edges
-
-    payload = _load_payload()
-    payload["coverage"] = {
-        "batch_size": batch_size,
-        "overhead": round(overhead, 4),
-        "edges": len(edges),
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print("\n=== coverage cost (block probes) ===")
     print(f"no window: {batch_size / bare:8.1f} verifications/sec")

@@ -1,15 +1,15 @@
 """Cross-version differential verification oracle.
 
 The paper's indicators all require *executing* an accepted program
-(Section 3); ROADMAP item 4 asks for bug-finding modes that need no
-execution at all.  This module supplies one: verify the same decoded
-program under several kernel-version profiles (`kernel/config.py`) and
-compare what the verifier *concluded* — the accept/reject verdict and
-the final abstract range state of R0 at every program exit (register
-bounds plus tnum masks).  Any disagreement is a **divergence**, and a
-divergence between two verifiers looking at the same program is
-evidence that at least one of them is wrong (BRF's semantic-correctness
-angle, PAPERS.md).
+(Section 3), but a verifier bug can also show in what the verifier
+concludes, with no execution at all.  This module finds those: verify
+the same decoded program under several kernel-version profiles
+(`kernel/config.py`) and compare what the verifier *concluded* — the
+accept/reject verdict and the final abstract range state of R0 at every
+program exit (register bounds plus tnum masks).  Any disagreement is a
+**divergence**, and a divergence between two verifiers looking at the
+same program is evidence that at least one of them is wrong (BRF's
+semantic-correctness angle, PAPERS.md).
 
 Divergences are then *classified* against the injected-flaw registry by
 replaying the program under single-difference configs:
@@ -214,14 +214,20 @@ def _load_record(reads: dict, result) -> tuple | None:
         outcome = ProfileOutcome(profile="", verdict="reject",
                                  reason=classify(result.message))
     else:
-        fingerprint = tuple(sorted(
-            (r0.umin, r0.umax, r0.smin, r0.smax, r0.var_off.value,
-             r0.var_off.mask)
-            for r0 in result.exit_r0
-        ))
         outcome = ProfileOutcome(profile="", verdict="accept",
-                                 fingerprint=fingerprint)
+                                 fingerprint=_fingerprint(result))
     return reads, outcome, "differential.primary"
+
+
+def _fingerprint(verified) -> tuple:
+    """The sorted multiset of exit-R0 range summaries (bounds plus tnum)
+    of a :class:`VerifiedProgram`, canonical across profiles even when
+    DFS path order differs."""
+    return tuple(sorted(
+        (r0.umin, r0.umax, r0.smin, r0.smax, r0.var_off.value,
+         r0.var_off.mask)
+        for r0 in verified.exit_r0
+    ))
 
 
 def _agrees(config: KernelConfig, reads: dict) -> bool:
@@ -256,18 +262,16 @@ class DifferentialOracle:
         """One profile's verdict + final-range fingerprint for ``gp``.
 
         The program is **not executed**; only the verifier runs.  The
-        fingerprint is the sorted multiset of exit-R0 range summaries,
-        canonical across profiles even when DFS path order differs.
+        fingerprint is :func:`_fingerprint` of the verified program.
         With ``reads``, every config fact the kernel boot, the map
         creation and the verifier read is recorded into it.
         """
         view = config if reads is None else _ReadRecorder(config, reads)
         kernel = replay_kernel(view, gp)
         prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
-        verifier = Verifier(kernel, prog, sanitize=False,
-                            collect_exit_states=True)
+        verifier = Verifier(kernel, prog, sanitize=False)
         try:
-            verifier.verify()
+            verified = verifier.verify()
         except VerifierReject as reject:
             return ProfileOutcome(
                 profile=profile or config.version,
@@ -283,7 +287,7 @@ class DifferentialOracle:
         return ProfileOutcome(
             profile=profile or config.version,
             verdict="accept",
-            fingerprint=tuple(sorted(verifier.exit_r0_summaries or [])),
+            fingerprint=_fingerprint(verified),
         )
 
     def _outcome(self, config: KernelConfig, gp, memo: list,

@@ -1,6 +1,6 @@
 """Rejection repair: reason-indexed minimal patches, verified to flip.
 
-ROADMAP item 4b: a rejected program teaches a campaign nothing — the
+A rejected program teaches a campaign nothing — the
 oracles only see accepted programs — so every reject is budget burned.
 This module converts rejects back into signal by synthesizing the
 *minimal* patch that flips the verdict: given the taxonomy reason code

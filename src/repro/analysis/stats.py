@@ -159,7 +159,7 @@ class ThroughputStats:
         return self.busy_seconds / self.wall_seconds if self.wall_seconds else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready form (what ``BENCH_throughput.json`` records)."""
+        """JSON-ready form (the metrics artifact's ``throughput``)."""
         return {
             "programs": self.programs,
             "wall_seconds": round(self.wall_seconds, 4),

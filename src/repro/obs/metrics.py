@@ -268,10 +268,10 @@ def _hit_rate(counters: dict, hits_key: str, misses_key: str) -> float:
 def cache_hit_rates(counters: dict) -> dict:
     """Hit rates of the verifier fast-path caches, from one counter map.
 
-    Shared by the ``repro report`` dashboard and
-    ``benchmarks/test_throughput.py`` (whose ``caches`` section the
-    trajectory checker gates), so both always agree on the definition
-    of each rate.
+    Read by the ``repro report`` dashboard.  The tnum memo is
+    process-global, so its rate depends on what the process ran before
+    and is reported, never gated; the prune index's counts are exact
+    and are compared by ``benchmarks/check_baseline.py``.
     """
     return {
         "tnum_memo_hit_rate": _hit_rate(

@@ -1,8 +1,7 @@
 """Hierarchical verifier profiler: where does verification time go?
 
-BENCH_throughput.json says verification dominates campaign wall time
-(ROADMAP item 1), but the phase clock only reports the total.  This
-module decomposes it: a path-keyed tree of **frames** (``verify`` →
+The phase clock shows that verification dominates campaign wall time,
+but it only reports the total.  This module decomposes it: a path-keyed tree of **frames** (``verify`` →
 ``do_check`` → per-instruction-family nodes, the prune machinery, the
 sanitizer pass) with self/cumulative accounting, plus flat exact
 counters for ALU op kinds, JMP op kinds, helper calls, and prune

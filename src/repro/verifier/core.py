@@ -158,7 +158,6 @@ class Verifier:
         log_level: int = 1,
         sanitize: bool = False,
         check_invariants: bool = False,
-        collect_exit_states: bool = False,
     ) -> None:
         self.kernel = kernel
         self.config = kernel.config
@@ -174,13 +173,8 @@ class Verifier:
             from repro.verifier.sanity import VStateChecker
 
             self.observer = obs.compose(self.observer, VStateChecker())
-        #: per-exit R0 range summaries for the differential oracle
-        #: (None = disabled)
-        self.exit_r0_summaries: list[tuple] | None = (
-            [] if collect_exit_states else None
-        )
-        #: the abstract R0 of every path that leaves the program,
-        #: always kept (:attr:`VerifiedProgram.exit_r0`)
+        #: the abstract R0 of every path that leaves the program
+        #: (:attr:`VerifiedProgram.exit_r0`)
         self.exit_r0: list[RegState] = []
         self.log = VerifierLog(log_level)
         self.env = VerifierEnv(self.log, self.config.complexity_limit)
@@ -635,23 +629,7 @@ class Verifier:
             self.reject(
                 errno.EINVAL, "bpf_spin_lock is held but program exits"
             )
-        # Kept unconditionally, ahead of the ``if`` below, so that a
-        # load which keeps its exit states runs through the same blocks
-        # as one that does not: a coverage window sees no difference.
         self.exit_r0.append(r0)
-        if self.exit_r0_summaries is not None:
-            # Final-range fingerprint material for the differential
-            # oracle: the abstract R0 this path exits with.
-            self.exit_r0_summaries.append(
-                (
-                    r0.umin,
-                    r0.umax,
-                    r0.smin,
-                    r0.smax,
-                    r0.var_off.value,
-                    r0.var_off.mask,
-                )
-            )
         return None  # path complete
 
     def _do_call(self, state: VerifierState, insn: Insn) -> VerifierState | None:

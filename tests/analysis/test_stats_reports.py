@@ -142,7 +142,7 @@ class TestThroughputStats:
         assert payload["verify_fraction"] == pytest.approx(0.7)
         import json
 
-        json.dumps(payload)  # BENCH_throughput.json must serialise
+        json.dumps(payload)  # the metrics artifact must serialise
 
     def test_campaign_populates_timing(self):
         from repro.fuzz.campaign import Campaign
