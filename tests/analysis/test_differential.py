@@ -542,3 +542,52 @@ class TestPrimaryLoadRecord:
             counters["differential.reused"] == (
                 len(DEFAULT_PROFILES) * result.generated
                 + counters.get("differential.replays", 0))
+
+
+class TestExitFingerprint:
+    """Both the primary-load record and ``verify_under`` compare
+    ``_fingerprint`` of the verified program's ``exit_r0``."""
+
+    def two_exits(self) -> GeneratedProgram:
+        insns = [
+            asm.call_kfunc(KFUNC_RAND),
+            asm.jmp_imm(JmpOp.JEQ, Reg.R0, 0, 2),
+            asm.mov64_imm(Reg.R0, 1),
+            asm.exit_insn(),
+            asm.mov64_imm(Reg.R0, 2),
+            asm.exit_insn(),
+        ]
+        return GeneratedProgram(insns=insns, prog_type=ProgType.KPROBE,
+                                maps=[], plan=ExecutionPlan())
+
+    def test_one_summary_per_exiting_path(self):
+        outcome = DifferentialOracle(()).verify_under(
+            PROFILES["bpf-next"](), self.two_exits())
+        assert outcome.verdict == "accept"
+        assert outcome.fingerprint == ((1, 1, 1, 1, 1, 0),
+                                       (2, 2, 2, 2, 2, 0))
+
+    def test_sorted_multiset_of_exit_states(self):
+        from types import SimpleNamespace
+
+        def r0(value):
+            return SimpleNamespace(
+                umin=value, umax=value, smin=value, smax=value,
+                var_off=SimpleNamespace(value=value, mask=0))
+
+        exits = [r0(3), r0(1), r0(3)]
+        forward = differential._fingerprint(SimpleNamespace(exit_r0=exits))
+        backward = differential._fingerprint(
+            SimpleNamespace(exit_r0=exits[::-1]))
+        assert forward == backward == (
+            (1,) * 5 + (0,), (3,) * 5 + (0,), (3,) * 5 + (0,))
+
+    def test_verifier_keeps_one_exit_record(self):
+        gp = self.two_exits()
+        prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
+        kernel = Kernel(PROFILES["bpf-next"]())
+        with pytest.raises(TypeError):
+            Verifier(kernel, prog, collect_exit_states=True)
+        verifier = Verifier(kernel, prog)
+        assert len(verifier.verify().exit_r0) == 2
+        assert not hasattr(verifier, "exit_r0_summaries")
