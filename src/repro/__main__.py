@@ -41,7 +41,7 @@ from repro.analysis.reports import render_bug_table, render_dashboard
 from repro.analysis.stats import ThroughputStats
 from repro.analysis.triage import triage_finding
 from repro.errors import BpfError, VerifierReject
-from repro.fuzz.campaign import Campaign, CampaignConfig
+from repro.fuzz.campaign import STAGES, Campaign, CampaignConfig
 from repro.fuzz.parallel import DEFAULT_SHARDS, ParallelCampaign
 from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
@@ -129,12 +129,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"({result.acceptance_rate:.1%}); merged verifier coverage "
         f"{result.final_coverage} edges; corpus {result.corpus_size}"
     )
+    shares = " / ".join(
+        f"{stage} {throughput.fraction(stage):.0%}"
+        for stage in STAGES if stage in throughput.stage_seconds
+    )
     print(
         f"throughput {throughput.programs_per_sec:.1f} programs/sec "
         f"({throughput.wall_seconds:.1f}s wall, "
         f"{throughput.parallelism:.1f}x effective parallelism; "
-        f"verify {throughput.verify_fraction:.0%} / "
-        f"execute {throughput.execute_fraction:.0%} of busy time)"
+        f"{shares} of busy time)"
     )
     _print_outcome(result, args)
     return 0

@@ -160,14 +160,6 @@ class CFG:
                     stack.append(succ)
         return seen
 
-    def reachable_slots(self) -> set[int]:
-        """Slot indices inside reachable blocks (fillers included)."""
-        return {
-            slot
-            for index in self.reachable_blocks()
-            for slot in self.blocks[index].slots()
-        }
-
     def back_edges(self) -> list[tuple[int, int]]:
         """``(from_block, to_block)`` pairs forming loops.
 

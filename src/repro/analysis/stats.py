@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.ebpf.program import BpfProgram
 from repro.fuzz.campaign import CampaignResult
@@ -100,37 +100,33 @@ def acceptance_summary(results: list[CampaignResult]) -> dict:
 
 @dataclass
 class ThroughputStats:
-    """Campaign throughput and its wall-clock split.
+    """Campaign throughput and its wall-clock split by stage.
 
-    The campaign loop times its three phases — program generation,
-    verification (the ``prog_load`` path, coverage probes included),
-    and plan execution — so throughput regressions can be attributed.
-    For parallel campaigns the phase times sum over shards (total CPU
-    work) while ``wall_seconds`` is the parent's clock, so
-    ``parallelism`` ≈ how many cores the campaign actually kept busy.
-    Shard phases are timed with per-process wall clocks, so when
-    workers oversubscribe the CPUs, descheduled time inflates the sum
-    and ``parallelism`` can exceed the core count — read it as "worker
-    concurrency achieved", trustworthy when workers <= cores.
+    ``stage_seconds`` is the campaign's :attr:`CampaignResult.stage_seconds`:
+    one entry per stage of :data:`~repro.fuzz.campaign.STAGES` the
+    campaign entered, and no stage runs inside another, so
+    ``busy_seconds`` (their sum) is the time the iterations took and
+    ``fraction(stage)`` is a stage's share of it.  For parallel
+    campaigns the stage times sum over shards (total CPU work) while
+    ``wall_seconds`` is the parent's clock, so ``parallelism`` ≈ how
+    many cores the campaign actually kept busy.  Shard stages are timed
+    with per-process wall clocks, so when workers oversubscribe the
+    CPUs, descheduled time inflates the sum and ``parallelism`` can
+    exceed the core count — read it as "worker concurrency achieved",
+    trustworthy when workers <= cores.
     """
 
     programs: int = 0
     wall_seconds: float = 0.0
-    generate_seconds: float = 0.0
-    verify_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    #: cross-version differential oracle time (0.0 unless enabled)
-    differential_seconds: float = 0.0
+    #: stage name -> seconds (summed over shards)
+    stage_seconds: Counter = field(default_factory=Counter)
 
     @classmethod
     def from_result(cls, result: CampaignResult) -> "ThroughputStats":
         return cls(
             programs=result.generated,
             wall_seconds=result.wall_seconds,
-            generate_seconds=result.generate_seconds,
-            verify_seconds=result.verify_seconds,
-            execute_seconds=result.execute_seconds,
-            differential_seconds=getattr(result, "differential_seconds", 0.0),
+            stage_seconds=Counter(result.stage_seconds),
         )
 
     @property
@@ -139,19 +135,13 @@ class ThroughputStats:
 
     @property
     def busy_seconds(self) -> float:
-        """Total attributed CPU time across all phases (and shards)."""
-        return (self.generate_seconds + self.verify_seconds
-                + self.execute_seconds + self.differential_seconds)
+        """Total attributed CPU time across all stages (and shards)."""
+        return sum(self.stage_seconds.values())
 
-    @property
-    def verify_fraction(self) -> float:
+    def fraction(self, stage: str) -> float:
+        """``stage``'s share of the busy time."""
         busy = self.busy_seconds
-        return self.verify_seconds / busy if busy else 0.0
-
-    @property
-    def execute_fraction(self) -> float:
-        busy = self.busy_seconds
-        return self.execute_seconds / busy if busy else 0.0
+        return self.stage_seconds[stage] / busy if busy else 0.0
 
     @property
     def parallelism(self) -> float:
@@ -164,12 +154,10 @@ class ThroughputStats:
             "programs": self.programs,
             "wall_seconds": round(self.wall_seconds, 4),
             "programs_per_sec": round(self.programs_per_sec, 2),
-            "generate_seconds": round(self.generate_seconds, 4),
-            "verify_seconds": round(self.verify_seconds, 4),
-            "execute_seconds": round(self.execute_seconds, 4),
-            "differential_seconds": round(self.differential_seconds, 4),
-            "verify_fraction": round(self.verify_fraction, 4),
-            "execute_fraction": round(self.execute_fraction, 4),
+            "stage_seconds": {
+                stage: round(seconds, 4)
+                for stage, seconds in sorted(self.stage_seconds.items())
+            },
             "parallelism": round(self.parallelism, 2),
         }
 

@@ -170,9 +170,6 @@ class BtfRegistry:
     def type_by_name(self, name: str) -> BtfType | None:
         return self._types.get(name)
 
-    def add_type(self, btf_type: BtfType) -> None:
-        self._types[btf_type.name] = btf_type
-
     # --- objects -----------------------------------------------------------
 
     def instantiate(self, type_name: str, maybe_absent: bool = False) -> int:

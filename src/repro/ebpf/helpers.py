@@ -165,9 +165,6 @@ class HelperProto:
     #: kernel needs to offer this helper (None = every kernel has it)
     feature: str | None = None
 
-    def arg_count(self) -> int:
-        return len(self.args)
-
 
 # --------------------------------------------------------------------------
 # Implementations.  Signature convention: (ctx, r1..rN as ints) -> int.

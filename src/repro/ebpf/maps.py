@@ -161,12 +161,6 @@ class BpfMap:
             return None
         return self.mem.checked_read_bytes(addr, self.value_size, who="map-read")
 
-    def value_allocation(self, key: bytes) -> Allocation | None:
-        addr = self.lookup(key)
-        if addr is None:
-            return None
-        return self.mem.find_allocation(addr)
-
 
 class ArrayMap(BpfMap):
     """BPF_MAP_TYPE_ARRAY: u32 keys, one contiguous value region."""

@@ -8,7 +8,8 @@ regime kernel fuzzers run under — generates or mutates a program,
 pushes it through the verifier (collecting kcov-style coverage),
 executes the survivors with the full plan (direct runs, tracepoint
 triggers, dispatcher routing, user-space map traffic, info queries),
-and hands every captured report to the oracle.
+and hands every captured report to the oracle: the stages of
+:data:`STAGES`, one after the other.
 
 Campaign results carry everything the evaluation section needs:
 acceptance rates with errno breakdowns (Section 6.3), coverage curves
@@ -29,7 +30,6 @@ from repro.errors import (
     BpfError,
     InvariantViolation,
     KernelReport,
-    MapError,
     VerifierReject,
 )
 from repro.obs.frontier import FrontierTracker
@@ -52,12 +52,27 @@ from repro.runtime.executor import Executor
 from repro.verifier.tnum import tnum_memo_stats
 
 __all__ = [
+    "STAGES",
     "CampaignConfig",
     "CampaignResult",
     "Campaign",
     "make_generator",
     "preload",
 ]
+
+#: The stages of one campaign iteration, in the order they run.  Each
+#: is one :class:`~repro.obs.trace.PhaseClock` phase and, when
+#: profiling, one profiler root frame (:meth:`Campaign._stage`).
+STAGES = (
+    "generate",      # kernel boot, program generation or mutation, tallies
+    "verify",        # the primary prog_load and its verdict's tallies
+    "explain",       # a rejection's flight-recorder explanation
+    "repair",        # a rejection's verified minimal repair
+    "differential",  # the cross-version differential oracle
+    "coverage",      # the frontier note and the corpus add
+    "execute",       # the execution plan; captures, never classifies
+    "triage",        # the oracle classifies each captured item
+)
 
 
 @dataclass
@@ -159,11 +174,9 @@ class CampaignResult:
     #: coverage-frontier snapshot (:meth:`FrontierTracker.snapshot`;
     #: empty unless ``config.collect_coverage``)
     frontier: dict = field(default_factory=dict)
-    #: wall-clock split of the campaign loop (ThroughputStats input)
-    generate_seconds: float = 0.0
-    verify_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    differential_seconds: float = 0.0
+    #: stage name (:data:`STAGES`) -> seconds spent in it; stages
+    #: never entered are absent (ThroughputStats input)
+    stage_seconds: Counter = field(default_factory=Counter)
     wall_seconds: float = 0.0
     #: worker-process bootstrap attributed to this result (a sharded
     #: run's first shard per worker; 0.0 for serial runs)
@@ -183,10 +196,6 @@ class CampaignResult:
     @property
     def verifier_bugs(self) -> list[BugFinding]:
         return [f for f in self.findings.values() if f.is_verifier_bug]
-
-    @property
-    def component_bugs(self) -> list[BugFinding]:
-        return [f for f in self.findings.values() if f.indicator == "component"]
 
     def alu_jmp_fraction(self) -> float:
         """Fraction of generated instructions that are ALU or JMP."""
@@ -354,10 +363,7 @@ class Campaign:
         registry.gauge_max("cache.tnum.entries", tnum_after["entries"])
         result.final_coverage = self.coverage.edge_count
         result.corpus_size = len(self.corpus)
-        result.generate_seconds = clock.seconds["generate"]
-        result.verify_seconds = clock.seconds["verify"]
-        result.execute_seconds = clock.seconds["execute"]
-        result.differential_seconds = clock.seconds["differential"]
+        result.stage_seconds = clock.seconds
         result.wall_seconds = time.perf_counter() - started
         result.metrics = registry.snapshot()
         result.profile = profiler.snapshot() if profiler is not None else {}
@@ -373,49 +379,95 @@ class Campaign:
             return frozenset(("mutated",))
         return frozenset(("unstructured",))
 
+    @contextlib.contextmanager
+    def _stage(self, name: str):
+        """Enter one stage of an iteration (:data:`STAGES`).
+
+        The stage's time lands in the clock's phase of that name and,
+        with the profiler on, every verification it runs sits under a
+        root frame of that name, so the profile has one root per stage
+        and its self-times telescope to Σ stages.
+        """
+        prof = self._profiler
+        with self._clock.phase(name):
+            if prof is None:
+                yield
+                return
+            prof.push(name)
+            try:
+                yield
+            finally:
+                prof.pop()
+
     def _iteration(self, result: CampaignResult, iteration: int) -> None:
-        kernel = Kernel(self.kernel_config)
-        with self._clock.phase("generate"):
+        """One program through :data:`STAGES`, in order.  No stage runs
+        inside another, and one with no work for this program (explain
+        and repair on an accept, execute on a reject) is not entered."""
+        with self._stage("generate"):
+            kernel = Kernel(self.kernel_config)
             gp = self._next_program(kernel)
-        result.generated += 1
-        obs.metrics().counter("campaign.generated")
-        for insn in gp.insns:
-            if not insn.is_filler():
-                result.insn_classes[insn.insn_class] += 1
-        kinds = self._frame_kinds(gp)
-        for kind in kinds:
-            result.frame_generated[kind] += 1
+            result.generated += 1
+            obs.metrics().counter("campaign.generated")
+            for insn in gp.insns:
+                if not insn.is_filler():
+                    result.insn_classes[insn.insn_class] += 1
+            kinds = self._frame_kinds(gp)
+            for kind in kinds:
+                result.frame_generated[kind] += 1
+            prog = BpfProgram(
+                insns=list(gp.insns),
+                prog_type=gp.prog_type,
+                name=f"{gp.origin}_{iteration}",
+                offload_dev=gp.offload_dev,
+            )
 
-        prog = BpfProgram(
-            insns=list(gp.insns),
-            prog_type=gp.prog_type,
-            name=f"{gp.origin}_{iteration}",
-            offload_dev=gp.offload_dev,
-        )
-
-        verified = outcome = None
+        # What triage classifies, in capture order: an invariant
+        # violation of the primary load, else what execution caught.
+        captured: list = []
+        verified = outcome = rejection = None
         self._primary_reads = None
-        with self._clock.phase("verify"):
+        with self._stage("verify"):
             try:
                 verified = outcome = self._load(kernel, prog)
             except InvariantViolation as violation:
                 # Not a verdict: the verifier's own abstract state broke.
-                self._reject(result, _errno.EFAULT, str(violation),
-                             gp, iteration, kernel, prog)
-                self._record(
-                    result,
-                    self.oracle.classify_invariant(violation, gp),
-                    iteration,
-                )
+                captured.append(violation)
+                rejection = _errno.EFAULT, str(violation)
             except VerifierReject as reject:
                 outcome = reject
-                self._reject(result, reject.errno,
-                             final_message(reject.log) or reject.message,
-                             gp, iteration, kernel, prog)
+                rejection = (reject.errno,
+                             final_message(reject.log) or reject.message)
             except BpfError as error:
                 outcome = error
-                self._reject(result, error.errno, error.message,
-                             gp, iteration, kernel, prog)
+                rejection = error.errno, error.message
+            if rejection is None:
+                result.accepted += 1
+                obs.metrics().counter("campaign.accepted")
+                for kind in kinds:
+                    result.frame_accepted[kind] += 1
+            else:
+                errno, message = rejection
+                reason = self._reject(result, errno, message)
+
+        if rejection is not None:
+            # The repair templates always need the program's dataflow;
+            # an explanation's root cause reads the same analysis.
+            flow = None
+            if self._flight is not None and (
+                reason not in result.reject_explanations
+                or obs.recorder().enabled
+            ):
+                with self._stage("explain"):
+                    if self.config.repair_feedback:
+                        from repro.analysis.dataflow import analyze
+
+                        flow = analyze(prog.insns)
+                    self._explain_reject(result, errno, message, reason,
+                                         prog, iteration, flow)
+            if self.config.repair_feedback:
+                with self._stage("repair"):
+                    self._attempt_repair(result, reason, message, gp,
+                                         iteration, kernel, prog, flow)
 
         if self.differential is not None:
             # The primary load's reads and verdict answer every profile
@@ -424,44 +476,38 @@ class Campaign:
             reads = self._primary_reads
             primary = (None if outcome is None or reads is None
                        else (reads, outcome))
-            with self._clock.phase("differential"):
+            with self._stage("differential"):
                 for div in self.differential.run(gp, iteration, primary):
                     self._record_divergence(result, div, iteration)
 
-        # Frontier attribution covers every verdict: coverage.collect()
-        # publishes ``last_new`` from its finally block, so rejected
-        # programs contribute their edges too.
-        if self._frontier is not None:
-            self._frontier.note(
-                iteration,
-                self.coverage.last_new,
-                frames=kinds,
-                prog_type=gp.prog_type.name,
-                origin=gp.origin,
-            )
-        if verified is None:
-            return
+        if self.config.collect_coverage:
+            # Frontier attribution covers every verdict: coverage.collect()
+            # publishes ``last_new`` from its finally block, so rejected
+            # programs contribute their edges too.
+            with self._stage("coverage"):
+                new = self.coverage.last_new
+                if self._frontier is not None:
+                    self._frontier.note(
+                        iteration,
+                        new,
+                        frames=kinds,
+                        prog_type=gp.prog_type.name,
+                        origin=gp.origin,
+                    )
+                if verified is not None and new > 0:
+                    self.corpus.add(gp, new)
 
-        result.accepted += 1
-        obs.metrics().counter("campaign.accepted")
-        for kind in kinds:
-            result.frame_accepted[kind] += 1
-        if self.config.collect_coverage and self.coverage.last_new > 0:
-            self.corpus.add(gp, self.coverage.last_new)
+        if verified is not None:
+            with self._stage("execute"):
+                captured += self._execute_plan(kernel, verified, gp)
 
-        with self._clock.phase("execute"):
-            self._execute_plan(kernel, verified, gp, result, iteration)
+        if captured:
+            with self._stage("triage"):
+                for item in captured:
+                    self._record(result, self._classify(item, gp), iteration)
 
-    def _reject(
-        self,
-        result: CampaignResult,
-        errno: int,
-        message: str,
-        gp: GeneratedProgram | None = None,
-        iteration: int = -1,
-        kernel: Kernel | None = None,
-        prog: BpfProgram | None = None,
-    ) -> None:
+    def _reject(self, result: CampaignResult, errno: int, message: str) -> str:
+        """Tally one rejection; returns its taxonomy reason."""
         result.reject_errnos[errno] += 1
         reason = classify(message)
         result.reject_reasons[reason] += 1
@@ -470,21 +516,7 @@ class Campaign:
         if rec.enabled:
             rec.event("campaign.reject", errno=errno, reason=reason,
                       message=message)
-        repair = (self.config.repair_feedback and kernel is not None
-                  and prog is not None)
-        # The repair templates always need the program's dataflow; an
-        # explanation's root cause reads the same analysis.
-        flow = None
-        if repair:
-            from repro.analysis.dataflow import analyze
-
-            flow = analyze(prog.insns)
-        if self._flight is not None:
-            self._explain_reject(result, errno, message, reason,
-                                 gp, iteration, flow)
-        if repair:
-            self._attempt_repair(result, reason, message, gp,
-                                 iteration, kernel, prog, flow)
+        return reason
 
     def _explain_reject(
         self,
@@ -492,25 +524,21 @@ class Campaign:
         errno: int,
         message: str,
         reason: str,
-        gp: GeneratedProgram | None,
+        prog: BpfProgram,
         iteration: int,
         flow=None,
     ) -> None:
-        """Spill the flight ring for a rejection and keep one
-        explanation per taxonomy reason (the earliest iteration).  The
-        ring is rendered only when the trace or a new reason reads it.
+        """Spill the flight ring for a rejection to the trace, and keep
+        one explanation per taxonomy reason (the earliest iteration).
         ``flow`` is the program's dataflow analysis, if already run."""
-        rec = obs.recorder()
-        explained = reason in result.reject_explanations
-        if explained and not rec.enabled:
-            return
         events = self._flight.snapshot()
+        rec = obs.recorder()
         if rec.enabled:
             # Interesting outcome: spill the decision ring to the trace
             # stream so post-hoc analysis sees the full last-K window.
             rec.event("verifier.flight", reason=reason, errno=errno,
                       events=events)
-        if explained:
+        if reason in result.reject_explanations:
             return
         from repro.obs.explain import explain_events
 
@@ -518,8 +546,8 @@ class Campaign:
             events,
             message=message,
             errno=errno,
-            program=f"{gp.origin}_{iteration}" if gp is not None else None,
-            insns=gp.insns if gp is not None else None,
+            program=prog.name,
+            insns=prog.insns,
             flow=flow,
         )
         entry = explanation.to_dict()
@@ -531,7 +559,7 @@ class Campaign:
         result: CampaignResult,
         reason: str,
         message: str,
-        gp: GeneratedProgram | None,
+        gp: GeneratedProgram,
         iteration: int,
         kernel: Kernel,
         prog: BpfProgram,
@@ -569,17 +597,16 @@ class Campaign:
             entry = repair.to_dict()
             entry["iteration"] = iteration
             result.repair_examples[reason] = entry
-        if gp is not None:
-            self.corpus.add(
-                GeneratedProgram(
-                    insns=list(repair.patched),
-                    prog_type=gp.prog_type,
-                    maps=gp.maps,
-                    plan=gp.plan,
-                    origin="bvf-repair",
-                ),
-                1,
-            )
+        self.corpus.add(
+            GeneratedProgram(
+                insns=list(repair.patched),
+                prog_type=gp.prog_type,
+                maps=gp.maps,
+                plan=gp.plan,
+                origin="bvf-repair",
+            ),
+            1,
+        )
 
     def _record_divergence(
         self, result: CampaignResult, div, iteration: int
@@ -608,14 +635,9 @@ class Campaign:
         """
         sanitize = self.config.sanitize and kernel.config.sanitizer_available
         check = self.config.check_invariants
-        # Root profiler frame: everything the verify phase pays for runs
-        # under it, so Σ self-times telescopes to (almost) the phase's
-        # measured wall — the property the overhead benchmark asserts.
-        prof = self._profiler
-        if prof is not None:
-            prof.push("verify")
         # The flight recorder joins the current observer for this load
-        # only: the primary load's ring is the one _reject reads.
+        # only: the primary load's ring is the one explain and repair
+        # read.
         token = None
         if self._flight is not None:
             token = obs.install(obs.metrics(), obs.recorder(),
@@ -637,8 +659,6 @@ class Campaign:
         finally:
             if token is not None:
                 obs.restore(token)
-            if prof is not None:
-                prof.pop()
 
     # ----------------------------------------------------------- generation --
 
@@ -683,16 +703,23 @@ class Campaign:
             finding.iteration = iteration
             result.findings[finding.bug_id] = finding
 
+    def _classify(self, item, gp: GeneratedProgram) -> BugFinding | None:
+        """Triage one captured item with the oracle method for its kind."""
+        if isinstance(item, InvariantViolation):
+            return self.oracle.classify_invariant(item, gp)
+        if isinstance(item, KernelReport):
+            return self.oracle.classify_report(item, gp)
+        return self.oracle.classify_syscall_error(item, gp)
+
     def _execute_plan(
-        self,
-        kernel: Kernel,
-        verified,
-        gp: GeneratedProgram,
-        result: CampaignResult,
-        iteration: int,
-    ) -> None:
+        self, kernel: Kernel, verified, gp: GeneratedProgram
+    ) -> list:
+        """Run ``gp``'s plan against the verified program.  Returns the
+        kernel reports and syscall errors it captured, in capture
+        order, for triage to classify."""
         plan = gp.plan
         executor = Executor(kernel)
+        captured: list = []
 
         # Attach phase.
         attached = False
@@ -716,31 +743,21 @@ class Campaign:
         for _ in range(plan.n_runs):
             run = executor.run(verified)
             if run.report is not None:
-                self._record(
-                    result, self.oracle.classify_report(run.report, gp), iteration
-                )
+                captured.append(run.report)
             if run.error is not None:
-                self._record(
-                    result,
-                    self.oracle.classify_syscall_error(run.error, gp),
-                    iteration,
-                )
+                captured.append(run.error)
 
         # Tracepoint trigger (runs everything attached, with re-entry).
         if attached:
             run = executor.trigger_tracepoint(plan.attach_tracepoint)
             if run.report is not None:
-                self._record(
-                    result, self.oracle.classify_report(run.report, gp), iteration
-                )
+                captured.append(run.report)
 
         # Dispatcher-routed execution.
         if plan.use_dispatcher:
             run = executor.run_xdp_via_dispatcher()
             if run.report is not None:
-                self._record(
-                    result, self.oracle.classify_report(run.report, gp), iteration
-                )
+                captured.append(run.report)
 
         # User-space map traffic.
         for op, key in plan.map_ops:
@@ -761,14 +778,10 @@ class Campaign:
                         cursor = None
                         for _ in range(bpf_map.max_entries + 2):
                             cursor = kernel.map_get_next_key(bpf_map.fd, cursor)
-                except MapError:
-                    pass
                 except BpfError:
                     pass
                 except KernelReport as report:
-                    self._record(
-                        result, self.oracle.classify_report(report, gp), iteration
-                    )
+                    captured.append(report)
 
         # Info query (Bug #8's kmemdup path).  Large rewritten images
         # always attract a query — tooling (bpftool, verifier-log
@@ -777,10 +790,7 @@ class Campaign:
             try:
                 kernel.prog_get_info(verified)
             except BpfError as error:
-                self._record(
-                    result,
-                    self.oracle.classify_syscall_error(error, gp),
-                    iteration,
-                )
+                captured.append(error)
 
         kernel.reset_attachments()
+        return captured

@@ -190,8 +190,7 @@ _SUMMED = (
     "generated", "accepted", "corpus_size",
     "reject_errnos", "reject_reasons", "frame_generated", "frame_accepted",
     "insn_classes", "repairs_attempted", "repairs_verified",
-    "generate_seconds", "verify_seconds", "execute_seconds",
-    "differential_seconds", "bootstrap_seconds", "setup_seconds",
+    "stage_seconds", "bootstrap_seconds", "setup_seconds",
 )
 
 #: Result maps that keep, per key, the entry with the earliest global

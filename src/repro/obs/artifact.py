@@ -28,9 +28,11 @@ __all__ = ["SCHEMA", "build_artifact", "strip_wall", "write_artifact"]
 #: v2 added the ``profile`` (hierarchical profiler) and ``frontier``
 #: (coverage-frontier attribution) sections; v3 added the ``repair``
 #: section (verified rejection repairs per taxonomy reason, from
-#: ``--repair-feedback`` campaigns); consumers accept any
-#: ``repro-metrics-v*`` and render missing sections as "n/a".
-SCHEMA = "repro-metrics-v3"
+#: ``--repair-feedback`` campaigns); v4 replaced the throughput's
+#: per-phase seconds and fractions with one ``stage_seconds`` mapping;
+#: consumers accept any ``repro-metrics-v*`` and render missing
+#: sections as "n/a".
+SCHEMA = "repro-metrics-v4"
 
 
 def _frame_breakdown(result) -> dict:
@@ -57,8 +59,6 @@ def build_artifact(result) -> dict:
     shards = []
     start = 0
     for shard in getattr(result, "shard_results", []):
-        busy = (shard.generate_seconds + shard.verify_seconds
-                + shard.execute_seconds)
         shards.append(
             {
                 "index": shard.config.shard_index,
@@ -69,7 +69,7 @@ def build_artifact(result) -> dict:
                 "corpus_size": shard.corpus_size,
                 "wall": {
                     "wall_seconds": shard.wall_seconds,
-                    "busy_seconds": busy,
+                    "busy_seconds": sum(shard.stage_seconds.values()),
                     "programs_per_sec": (
                         shard.generated / shard.wall_seconds
                         if shard.wall_seconds else 0.0

@@ -39,15 +39,6 @@ class VerifierLog:
     def text(self) -> str:
         return "\n".join(self._parts)
 
-    def last_message(self) -> str:
-        """The final non-instruction line — on rejection, the reason.
-
-        :meth:`~repro.verifier.core.Verifier.reject` always writes its
-        message last, so this is what the rejection taxonomy
-        (:mod:`repro.obs.taxonomy`) classifies.
-        """
-        return final_message(self.text())
-
     def __str__(self) -> str:
         return self.text()
 

@@ -223,11 +223,6 @@ class StackState:
         new.depth = self.depth
         return new
 
-    def byte_type(self, off: int) -> SlotType:
-        slot_idx, byte_idx = self._slot_and_byte(off)
-        slot = self._slots.get(slot_idx)
-        return slot.bytes[byte_idx] if slot else SlotType.INVALID
-
     def spilled_reg(self, off: int) -> RegState | None:
         slot_idx, _ = self._slot_and_byte(off)
         slot = self._slots.get(slot_idx)

@@ -179,10 +179,6 @@ class RegState:
         self.id = id
         self.ref_obj_id = 0
 
-    def mark_not_init(self) -> None:
-        self.mark_unknown()
-        self.type = RegType.NOT_INIT
-
     def mark_known(self, value: int) -> None:
         value = u64(value)
         self.type = RegType.SCALAR

@@ -110,36 +110,34 @@ class TestThroughputStats:
         stats = ThroughputStats(
             programs=300,
             wall_seconds=2.0,
-            generate_seconds=0.5,
-            verify_seconds=4.0,
-            execute_seconds=0.5,
+            stage_seconds=Counter(generate=0.5, verify=4.0, execute=0.5),
         )
         assert stats.programs_per_sec == pytest.approx(150.0)
         assert stats.busy_seconds == pytest.approx(5.0)
-        assert stats.verify_fraction == pytest.approx(0.8)
-        assert stats.execute_fraction == pytest.approx(0.1)
+        assert stats.fraction("verify") == pytest.approx(0.8)
+        assert stats.fraction("execute") == pytest.approx(0.1)
+        assert stats.fraction("triage") == 0.0
         assert stats.parallelism == pytest.approx(2.5)
 
     def test_empty_safe(self):
         stats = ThroughputStats()
         assert stats.programs_per_sec == 0.0
-        assert stats.verify_fraction == 0.0
+        assert stats.fraction("verify") == 0.0
         assert stats.parallelism == 0.0
 
     def test_from_result_and_as_dict(self):
         result = CampaignResult(
             config=CampaignConfig(budget=10),
             generated=10,
-            generate_seconds=0.1,
-            verify_seconds=0.7,
-            execute_seconds=0.2,
+            stage_seconds=Counter(generate=0.1, verify=0.7, execute=0.2),
             wall_seconds=1.0,
         )
         stats = ThroughputStats.from_result(result)
         assert stats.programs == 10
         payload = stats.as_dict()
         assert payload["programs_per_sec"] == pytest.approx(10.0)
-        assert payload["verify_fraction"] == pytest.approx(0.7)
+        assert payload["stage_seconds"] == {
+            "execute": 0.2, "generate": 0.1, "verify": 0.7}
         import json
 
         json.dumps(payload)  # the metrics artifact must serialise
@@ -150,8 +148,8 @@ class TestThroughputStats:
         result = Campaign(CampaignConfig(tool="bvf", budget=15, seed=1)).run()
         stats = ThroughputStats.from_result(result)
         assert stats.wall_seconds > 0
-        assert stats.verify_seconds > 0
-        assert stats.busy_seconds <= stats.wall_seconds * 1.05
+        assert stats.stage_seconds["verify"] > 0
+        assert stats.busy_seconds <= stats.wall_seconds
 
 
 class TestBugTable:

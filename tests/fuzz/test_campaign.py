@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import errno
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 
 from repro import obs
+from repro.ebpf import asm
+from repro.ebpf.opcodes import Reg
+from repro.ebpf.program import BpfProgram, ProgType
 from repro.errors import BpfError, InvariantViolation
-from repro.fuzz.campaign import Campaign, CampaignConfig, make_generator
+from repro.fuzz.campaign import (
+    STAGES,
+    Campaign,
+    CampaignConfig,
+    make_generator,
+)
 from repro.fuzz.coverage import VerifierCoverage
 from repro.fuzz.rng import FuzzRng
 from repro.kernel.config import PROFILES, KernelConfig
 from repro.kernel.syscall import Kernel, replay_kernel
-from repro.obs.events import FlightRecorder
+from repro.obs.events import EVENTS, FlightRecorder, Observer
 
 
 class TestCampaign:
@@ -224,3 +233,151 @@ def _maps_of(kernel):
     while (bpf_map := kernel.map_by_fd(fd)) is not None:
         yield bpf_map
         fd += 1
+
+
+class _StageLog(Campaign):
+    """Logs every stage it enters, and fails if one opens inside
+    another."""
+
+    def __init__(self, config: CampaignConfig) -> None:
+        super().__init__(config)
+        self.entered: list[str] = []
+        self.current: str | None = None
+
+    @contextmanager
+    def _stage(self, name):
+        assert self.current is None, f"{name} inside {self.current}"
+        self.entered.append(name)
+        self.current = name
+        try:
+            with super()._stage(name):
+                yield
+        finally:
+            self.current = None
+
+    def iterations(self) -> list[list[str]]:
+        """The entered stages, split into iterations."""
+        runs: list[list[str]] = []
+        for name in self.entered:
+            if name == "generate":
+                runs.append([])
+            runs[-1].append(name)
+        return runs
+
+
+class TestStages:
+    """An iteration is a flat sequence of :data:`STAGES`: each stage is
+    one clock phase and one profiler root, and none runs inside
+    another."""
+
+    @pytest.fixture(scope="class")
+    def profiled(self):
+        config = CampaignConfig(budget=300, seed=1, profile=True,
+                                differential=True, repair_feedback=True)
+        return Campaign(config).run()
+
+    def test_profile_roots_are_stages(self, profiled):
+        nodes = profiled.profile["counts"]["nodes"]
+        roots = {path for path in nodes if "/" not in path}
+        assert roots <= set(STAGES)
+        assert nodes["verify"] == profiled.generated
+        # Repair loads and triage replays sit under their own stage.
+        assert "repair/do_check" in nodes
+        assert "triage/do_check" in nodes
+
+    def test_stage_seconds_are_the_clock_phases(self, profiled):
+        hists = profiled.metrics["wall"]["histograms"]
+        assert set(profiled.stage_seconds) == set(STAGES)
+        for stage, seconds in profiled.stage_seconds.items():
+            assert seconds > 0
+            assert hists[f"phase.{stage}.seconds"]["sum"] == pytest.approx(
+                seconds)
+
+    def test_stages_cover_the_wall(self):
+        result = Campaign(CampaignConfig(budget=100, seed=2)).run()
+        busy = sum(result.stage_seconds.values())
+        assert busy <= result.wall_seconds
+        assert busy >= 0.9 * result.wall_seconds
+
+    def test_flat_sequence_in_order(self, monkeypatch):
+        from repro.fuzz.oracle import Oracle
+
+        campaign = _StageLog(CampaignConfig(
+            budget=80, seed=4, differential=True, repair_feedback=True))
+        classified = []
+        for name in ("classify_report", "classify_syscall_error"):
+            method = getattr(Oracle, name)
+
+            def logged(oracle, *args, _method=method):
+                classified.append(campaign.current)
+                return _method(oracle, *args)
+
+            monkeypatch.setattr(Oracle, name, logged)
+        result = campaign.run()
+        runs = campaign.iterations()
+        assert len(runs) == result.generated
+        accepted = 0
+        for stages in runs:
+            assert stages == sorted(stages, key=STAGES.index)
+            assert stages[:2] == ["generate", "verify"]
+            assert "differential" in stages and "coverage" in stages
+            if "execute" in stages:
+                accepted += 1
+                assert "explain" not in stages and "repair" not in stages
+            else:
+                assert "repair" in stages and "triage" not in stages
+        assert accepted == result.accepted
+        # Execution captures; only triage classifies.
+        assert classified and set(classified) == {"triage"}
+
+    def test_invariant_violation_is_triaged(self):
+        class Broken(_StageLog):
+            def _load(self, kernel, prog):
+                if prog.name.endswith("_3"):
+                    raise InvariantViolation("test-code", "broken",
+                                             insn_idx=0, regno=1)
+                return super()._load(kernel, prog)
+
+        campaign = Broken(CampaignConfig(budget=6, seed=1,
+                                         check_invariants=True))
+        result = campaign.run()
+        finding = result.findings["invariant:test-code"]
+        assert (finding.iteration, finding.indicator) == (3, "invariant")
+        assert result.reject_errnos[errno.EFAULT] >= 1
+        assert campaign.iterations()[3] == [
+            "generate", "verify", "coverage", "triage"]
+
+    def test_unobserved_campaign_calls_no_observer(self, monkeypatch):
+        """With every verifier subscriber off, no observer is installed
+        and no observer method runs: the exact count behind the no-op
+        observer wall-time gate of ``benchmarks/test_throughput.py``."""
+        calls = []
+        for name in EVENTS:
+            def counted(self, *args, _name=name):
+                calls.append(_name)
+
+            monkeypatch.setattr(Observer, name, counted)
+
+        class Unobserved(_StageLog):
+            @contextmanager
+            def _stage(self, name):
+                with super()._stage(name):
+                    assert obs.observer() is None
+                    yield
+                    assert obs.observer() is None
+
+        campaign = Unobserved(CampaignConfig(
+            budget=50, seed=0, profile=False, flight=False,
+            trace_path=None, check_invariants=False))
+        campaign.run()
+        assert len(campaign.iterations()) == 50
+        assert calls == []
+        # The count is live: one load under a bare Observer calls in.
+        token = obs.install(observer=Observer())
+        try:
+            Kernel(PROFILES["patched"]()).prog_load(
+                BpfProgram(insns=[asm.mov64_imm(Reg.R0, 0), asm.exit_insn()],
+                           prog_type=ProgType.SOCKET_FILTER))
+        finally:
+            obs.restore(token)
+        assert "begin" in calls and "verdict" in calls

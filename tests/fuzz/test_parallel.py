@@ -181,15 +181,14 @@ class TestMergeShards:
         merged = merge_shards(
             CampaignConfig(budget=20),
             [
-                self.shard(0, generate_seconds=1.0, verify_seconds=2.0,
-                           execute_seconds=0.5),
-                self.shard(1, generate_seconds=0.5, verify_seconds=1.0,
-                           execute_seconds=0.25),
+                self.shard(0, stage_seconds=Counter(
+                    generate=1.0, verify=2.0, execute=0.5)),
+                self.shard(1, stage_seconds=Counter(
+                    generate=0.5, verify=1.0, triage=0.25)),
             ],
         )
-        assert merged.generate_seconds == pytest.approx(1.5)
-        assert merged.verify_seconds == pytest.approx(3.0)
-        assert merged.execute_seconds == pytest.approx(0.75)
+        assert merged.stage_seconds == pytest.approx(
+            {"generate": 1.5, "verify": 3.0, "execute": 0.5, "triage": 0.25})
 
     @pytest.mark.parametrize("name", EARLIEST_FIELDS)
     def test_earliest_iteration_wins(self, name):
@@ -334,8 +333,8 @@ class TestParallelCampaign:
 
     def test_timing_populated(self, parallel):
         assert parallel.wall_seconds > 0
-        assert parallel.verify_seconds > 0
-        assert parallel.generate_seconds > 0
+        assert parallel.stage_seconds["verify"] > 0
+        assert parallel.stage_seconds["generate"] > 0
 
     def test_single_shard_inline(self):
         result = ParallelCampaign(

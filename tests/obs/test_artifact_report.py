@@ -2,8 +2,8 @@
 
 Satellite requirements covered here:
 
-- phase accounting: ``generate + verify + execute <= wall`` on a real
-  campaign run;
+- stage accounting: Σ stage seconds <= wall on a real campaign run,
+  and a sharded run's per-shard busy times sum to the merged one;
 - worker invariance: a parallel campaign merged from 4 workers yields
   byte-identical non-wall-clock artifact content to the same campaign
   on 1 worker;
@@ -14,13 +14,15 @@ Satellite requirements covered here:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.differential import DifferentialOracle
 from repro.analysis.reports import render_dashboard
-from repro.fuzz.campaign import Campaign, CampaignConfig
+from repro.analysis.stats import ThroughputStats
+from repro.fuzz.campaign import STAGES, Campaign, CampaignConfig
 from repro.fuzz.parallel import ParallelCampaign
 from repro.obs.artifact import (
     SCHEMA,
@@ -47,15 +49,31 @@ def sharded_results():
 
 class TestPhaseAccounting:
     def test_phase_times_bounded_by_wall(self, serial_result):
-        r = serial_result
-        busy = r.generate_seconds + r.verify_seconds + r.execute_seconds
+        busy = sum(serial_result.stage_seconds.values())
         assert busy > 0
-        assert busy <= r.wall_seconds
+        assert busy <= serial_result.wall_seconds
 
     def test_phase_histograms_recorded(self, serial_result):
         hists = serial_result.metrics["wall"]["histograms"]
-        for phase in ("generate", "verify", "execute"):
-            assert hists[f"phase.{phase}.seconds"]["count"] > 0
+        for stage in serial_result.stage_seconds:
+            assert hists[f"phase.{stage}.seconds"]["count"] > 0
+        for stage in ("generate", "verify", "coverage", "execute"):
+            assert stage in serial_result.stage_seconds
+
+    def test_shard_busy_times_sum_to_merged_busy(self):
+        # Every stage counts toward a shard's busy time, the
+        # differential oracle's included.
+        result = ParallelCampaign(
+            CampaignConfig(tool="bvf", budget=40, seed=3, differential=True),
+            workers=1, shards=2,
+        ).run()
+        artifact = build_artifact(result)
+        shard_busy = sum(shard["wall"]["busy_seconds"]
+                         for shard in artifact["shards"])
+        assert result.stage_seconds["differential"] > 0
+        assert len(artifact["shards"]) == 2
+        assert shard_busy == pytest.approx(
+            ThroughputStats.from_result(result).busy_seconds)
 
 
 class TestWorkerInvariance:
@@ -110,8 +128,6 @@ class TestDashboard:
         assert "per-shard coverage / throughput" in text
         assert "phase-time histograms" in text
         # 4 shards -> 4 per-shard table rows (index, generated, ...)
-        import re
-
         rows = [line for line in text.splitlines()
                 if re.match(r"^\s+\d+\s+\d+\s+\d+\s+\d+", line)]
         assert len(rows) == 4
@@ -202,8 +218,19 @@ class TestDashboard:
             "--metrics", str(metrics), "--trace", str(trace),
         ])
         assert rc == 0
-        capsys.readouterr()
-        assert json.loads(metrics.read_text())["schema"] == SCHEMA
+        out = capsys.readouterr().out
+        artifact = json.loads(metrics.read_text())
+        assert artifact["schema"] == SCHEMA
+        # The throughput line gives each entered stage's share of the
+        # busy time, in stage order.
+        (line,) = [row for row in out.splitlines()
+                   if row.startswith("throughput ")]
+        shares = re.findall(r"(\w+) (\d+)%", line.split("; ", 1)[1])
+        entered = artifact["wall"]["throughput"]["stage_seconds"]
+        assert [stage for stage, _ in shares] == [
+            stage for stage in STAGES if stage in entered]
+        assert {"generate", "verify", "coverage", "execute"} <= set(entered)
+        assert abs(sum(int(share) for _, share in shares) - 100) <= len(shares)
         shard_traces = sorted(tmp_path.glob("t.jsonl.shard*"))
         assert len(shard_traces) == 2
         first_line = shard_traces[0].read_text().splitlines()[0]
