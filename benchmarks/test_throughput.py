@@ -139,8 +139,8 @@ def test_observer_overhead():
 
     Methodology: one **warm-up** campaign per mode first — the first
     campaigns of a process pay one-off costs (coverage-probe install,
-    cold tnum memo, lazy imports) that would otherwise be
-    attributed to whichever mode ran first — then 3 interleaved rounds
+    lazy imports) that would otherwise be attributed to whichever mode
+    ran first — then 3 interleaved rounds
     (so a slow stretch of the host penalises both modes equally), scored
     by the **median** round, which a single descheduled outlier cannot
     drag the way best-of or mean-of can.

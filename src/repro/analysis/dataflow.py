@@ -35,7 +35,7 @@ relies on when provenance lands in merged artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.ebpf.insn import Insn
@@ -47,6 +47,7 @@ __all__ = [
     "insn_uses",
     "DataflowResult",
     "analyze",
+    "lazy_analysis",
     "Provenance",
     "bound_provenance",
 ]
@@ -313,6 +314,21 @@ class Provenance:
 #: Cap on the backward walk — provenance is an explanation aid, not a
 #: full slicer; deep chains stop here and report the frontier.
 _PROVENANCE_LIMIT = 64
+
+
+def lazy_analysis(insns: Sequence[Insn]) -> Callable[[], DataflowResult]:
+    """``analyze(insns)`` as a function that runs it on its first call
+    and returns the same result on every later one.  Readers of one
+    program share it, so the analysis runs once, and only if some
+    reader needs it."""
+    memo: list[DataflowResult] = []
+
+    def analysis() -> DataflowResult:
+        if not memo:
+            memo.append(analyze(insns))
+        return memo[0]
+
+    return analysis
 
 
 def bound_provenance(

@@ -33,15 +33,12 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import (
-    DataflowResult,
-    analyze,
-    bound_provenance,
-)
+from repro.analysis.dataflow import DataflowResult, lazy_analysis
 from repro.ebpf.asm import exit_insn, ja, jmp_imm, mov64_imm, st_mem
 from repro.ebpf.insn import Insn, encode_program
 from repro.ebpf.opcodes import (
@@ -79,14 +76,33 @@ class RepairContext:
     reason: str
     message: str
     insn_idx: int
-    cfg: CFG
-    flow: DataflowResult
+    #: the program's dataflow analysis, run on its first call
+    analysis: Callable[[], DataflowResult]
+
+    @property
+    def flow(self) -> DataflowResult:
+        return self.analysis()
+
+    @property
+    def cfg(self) -> CFG:
+        return self.analysis().cfg
 
     @property
     def failing(self) -> Insn | None:
         if 0 <= self.insn_idx < len(self.insns):
             return self.insns[self.insn_idx]
         return None
+
+
+class _Proposal(NamedTuple):
+    """One candidate as a template proposes it: its rank keys, which are
+    template constants, and a ``build`` that returns ``(description,
+    insns)``, or ``None`` when the candidate turns out not to apply.
+    Only the candidates a synthesis tries are built."""
+
+    template: str
+    edit_distance: int
+    build: Callable[[], tuple[str, list[Insn]] | None]
 
 
 @dataclass
@@ -213,10 +229,8 @@ def _null_guard(base: int) -> list[Insn]:
     ]
 
 
-def _nop_slots(ctx: RepairContext, at: int) -> list[Insn] | None:
+def _nop_slots(ctx: RepairContext, at: int) -> list[Insn]:
     """Replace the instruction at ``at`` (and its filler) with JA +0."""
-    if not 0 <= at < len(ctx.insns):
-        return None
     out = list(ctx.insns)
     out[at] = ja(0)
     if ctx.insns[at].is_ld_imm64() and at + 1 < len(out):
@@ -225,29 +239,24 @@ def _nop_slots(ctx: RepairContext, at: int) -> list[Insn] | None:
 
 
 # --------------------------------------------------------------------------
-# templates — each returns candidates for one repair idea; the registry
-# below indexes them by taxonomy reason code
+# templates — each proposes the candidates of one repair idea; the
+# registry below indexes them by taxonomy reason code
 
 
-def _t_append_exit(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_append_exit(ctx: RepairContext) -> Iterable[_Proposal]:
     """Fall-off-the-end shapes: give the program a proper epilogue."""
-    tail = [mov64_imm(Reg.R0, 0), exit_insn()]
-    yield RepairCandidate(
-        template="append-exit",
-        description="append `r0 = 0; exit` so every path leaves the "
-                    "program through an exit",
-        insns=list(ctx.insns) + tail,
-        edit_distance=2,
-    )
-    yield RepairCandidate(
-        template="append-bare-exit",
-        description="append `exit` (R0 already holds a value)",
-        insns=list(ctx.insns) + [exit_insn()],
-        edit_distance=1,
-    )
+    yield _Proposal("append-exit", 2, lambda: (
+        "append `r0 = 0; exit` so every path leaves the program "
+        "through an exit",
+        list(ctx.insns) + [mov64_imm(Reg.R0, 0), exit_insn()],
+    ))
+    yield _Proposal("append-bare-exit", 1, lambda: (
+        "append `exit` (R0 already holds a value)",
+        list(ctx.insns) + [exit_insn()],
+    ))
 
 
-def _t_init_register(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_init_register(ctx: RepairContext) -> Iterable[_Proposal]:
     """Uninitialised register: zero it at its root-cause site."""
     reg = _reg_in_message(ctx.message)
     if reg is None or reg == Reg.R10:
@@ -256,22 +265,21 @@ def _t_init_register(ctx: RepairContext) -> Iterable[RepairCandidate]:
     # The provenance pass names the site the value should have been
     # produced at; for an uninitialised register that is frame entry,
     # so the natural init points are the frame entry and the use.
-    yield RepairCandidate(
-        template="init-before-use",
-        description=f"initialise r{reg} = 0 immediately before the "
-                    f"failing read at insn {ctx.insn_idx}",
-        insns=_insert(ctx, max(ctx.insn_idx, 0), [init]),
-        edit_distance=1,
-    )
-    entry = _frame_entry(ctx)
-    if entry != ctx.insn_idx:
-        yield RepairCandidate(
-            template="init-at-entry",
-            description=f"initialise r{reg} = 0 at the entry of the "
-                        f"frame containing insn {ctx.insn_idx}",
-            insns=_insert(ctx, entry, [init]),
-            edit_distance=1,
-        )
+    yield _Proposal("init-before-use", 1, lambda: (
+        f"initialise r{reg} = 0 immediately before the failing read at "
+        f"insn {ctx.insn_idx}",
+        _insert(ctx, max(ctx.insn_idx, 0), [init]),
+    ))
+
+    def at_entry():
+        entry = _frame_entry(ctx)
+        if entry == ctx.insn_idx:
+            return None
+        return (f"initialise r{reg} = 0 at the entry of the frame "
+                f"containing insn {ctx.insn_idx}",
+                _insert(ctx, entry, [init]))
+
+    yield _Proposal("init-at-entry", 1, at_entry)
 
 
 def _frame_entry(ctx: RepairContext) -> int:
@@ -300,37 +308,32 @@ def _frame_entry(ctx: RepairContext) -> int:
     return 0
 
 
-def _t_init_stack(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_init_stack(ctx: RepairContext) -> Iterable[_Proposal]:
     """Uninitialised stack read: store a zero to the slot first."""
     insn = ctx.failing
     if insn is None or not insn.is_memory_load():
         return
-    yield RepairCandidate(
-        template="init-stack-slot",
-        description=f"store 0 to the stack slot at r{insn.src}"
-                    f"{insn.off:+d} before the uninitialised read",
-        insns=_insert(
-            ctx, ctx.insn_idx, [st_mem(insn.size, insn.src, insn.off, 0)]
-        ),
-        edit_distance=1,
-    )
+    yield _Proposal("init-stack-slot", 1, lambda: (
+        f"store 0 to the stack slot at r{insn.src}{insn.off:+d} before "
+        "the uninitialised read",
+        _insert(ctx, ctx.insn_idx,
+                [st_mem(insn.size, insn.src, insn.off, 0)]),
+    ))
 
 
-def _t_clamp_offset(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_clamp_offset(ctx: RepairContext) -> Iterable[_Proposal]:
     """Out-of-bounds fixed offset: clamp the access to offset 0."""
     insn = ctx.failing
     if insn is None or not insn.is_ldst() or insn.off == 0:
         return
-    yield RepairCandidate(
-        template="clamp-offset",
-        description=f"clamp the access offset {insn.off:+d} to +0, "
-                    "inside every region's bounds",
-        insns=_replace(ctx, ctx.insn_idx, insn.with_(off=0)),
-        edit_distance=1,
-    )
+    yield _Proposal("clamp-offset", 1, lambda: (
+        f"clamp the access offset {insn.off:+d} to +0, inside every "
+        "region's bounds",
+        _replace(ctx, ctx.insn_idx, insn.with_(off=0)),
+    ))
 
 
-def _t_null_check(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_null_check(ctx: RepairContext) -> Iterable[_Proposal]:
     """Possibly-NULL pointer access: guard the access."""
     insn = ctx.failing
     if insn is None:
@@ -341,30 +344,26 @@ def _t_null_check(ctx: RepairContext) -> Iterable[RepairCandidate]:
         base = insn.dst
     else:
         return
-    yield RepairCandidate(
-        template="null-check",
-        description=f"guard the access with `if r{base} == 0 exit` "
-                    "so the verifier can mark the pointer non-NULL",
-        insns=_insert(ctx, ctx.insn_idx, _null_guard(base)),
-        edit_distance=3,
-    )
+    yield _Proposal("null-check", 3, lambda: (
+        f"guard the access with `if r{base} == 0 exit` so the verifier "
+        "can mark the pointer non-NULL",
+        _insert(ctx, ctx.insn_idx, _null_guard(base)),
+    ))
 
 
-def _t_zero_return(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_zero_return(ctx: RepairContext) -> Iterable[_Proposal]:
     """Pointer leak through R0 at exit: return a scalar instead."""
     insn = ctx.failing
     if insn is None or not insn.is_exit():
         return
-    yield RepairCandidate(
-        template="zero-return",
-        description="set r0 = 0 before the exit so no pointer leaks "
-                    "as the return value",
-        insns=_insert(ctx, ctx.insn_idx, [mov64_imm(Reg.R0, 0)]),
-        edit_distance=1,
-    )
+    yield _Proposal("zero-return", 1, lambda: (
+        "set r0 = 0 before the exit so no pointer leaks as the return "
+        "value",
+        _insert(ctx, ctx.insn_idx, [mov64_imm(Reg.R0, 0)]),
+    ))
 
 
-def _t_mask_shift(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_mask_shift(ctx: RepairContext) -> Iterable[_Proposal]:
     """Invalid shift amount / division by zero."""
     insn = ctx.failing
     if insn is None or not insn.is_alu():
@@ -373,84 +372,67 @@ def _t_mask_shift(ctx: RepairContext) -> Iterable[RepairCandidate]:
     width_mask = 63 if insn.insn_class == InsnClass.ALU64 else 31
     if op in (AluOp.LSH, AluOp.RSH, AluOp.ARSH):
         if insn.src_bit == Src.K:
-            yield RepairCandidate(
-                template="mask-shift-imm",
-                description=f"mask the shift amount {insn.imm} to "
-                            f"{insn.imm & width_mask} (& {width_mask})",
-                insns=_replace(
-                    ctx, ctx.insn_idx,
-                    insn.with_(imm=insn.imm & width_mask),
-                ),
-                edit_distance=1,
-            )
+            yield _Proposal("mask-shift-imm", 1, lambda: (
+                f"mask the shift amount {insn.imm} to "
+                f"{insn.imm & width_mask} (& {width_mask})",
+                _replace(ctx, ctx.insn_idx,
+                         insn.with_(imm=insn.imm & width_mask)),
+            ))
         else:
-            mask = Insn(
-                opcode=insn.insn_class | AluOp.AND | Src.K,
-                dst=insn.src, imm=width_mask,
-            )
-            yield RepairCandidate(
-                template="mask-shift-reg",
-                description=f"mask the shift register r{insn.src} with "
-                            f"& {width_mask} before the shift",
-                insns=_insert(ctx, ctx.insn_idx, [mask]),
-                edit_distance=1,
-            )
+            yield _Proposal("mask-shift-reg", 1, lambda: (
+                f"mask the shift register r{insn.src} with "
+                f"& {width_mask} before the shift",
+                _insert(ctx, ctx.insn_idx, [Insn(
+                    opcode=insn.insn_class | AluOp.AND | Src.K,
+                    dst=insn.src, imm=width_mask,
+                )]),
+            ))
     if op in (AluOp.DIV, AluOp.MOD):
         if insn.src_bit == Src.K:
-            yield RepairCandidate(
-                template="nonzero-divisor-imm",
-                description="replace the zero immediate divisor with 1",
-                insns=_replace(ctx, ctx.insn_idx, insn.with_(imm=1)),
-                edit_distance=1,
-            )
+            yield _Proposal("nonzero-divisor-imm", 1, lambda: (
+                "replace the zero immediate divisor with 1",
+                _replace(ctx, ctx.insn_idx, insn.with_(imm=1)),
+            ))
         else:
-            guard = [
-                jmp_imm(JmpOp.JNE, insn.src, 0, 1),
-                mov64_imm(insn.src, 1),
-            ]
-            yield RepairCandidate(
-                template="nonzero-divisor-reg",
-                description=f"force the divisor r{insn.src} to 1 when "
-                            "it is zero",
-                insns=_insert(ctx, ctx.insn_idx, guard),
-                edit_distance=2,
-            )
+            yield _Proposal("nonzero-divisor-reg", 2, lambda: (
+                f"force the divisor r{insn.src} to 1 when it is zero",
+                _insert(ctx, ctx.insn_idx, [
+                    jmp_imm(JmpOp.JNE, insn.src, 0, 1),
+                    mov64_imm(insn.src, 1),
+                ]),
+            ))
 
 
-def _t_divert_fp_write(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_divert_fp_write(ctx: RepairContext) -> Iterable[_Proposal]:
     """Write to the read-only frame pointer: divert to a dead reg."""
     insn = ctx.failing
     if insn is None or insn.dst != Reg.R10:
         return
-    for reg in ctx.flow.dead_registers(ctx.insn_idx):
-        yield RepairCandidate(
-            template="divert-fp-write",
-            description=f"redirect the write from the read-only frame "
-                        f"pointer r10 to dead register r{reg}",
-            insns=_replace(ctx, ctx.insn_idx, insn.with_(dst=reg)),
-            edit_distance=1,
-        )
-        return  # liveness order is deterministic; one divert suffices
+
+    def divert():
+        # Liveness order is deterministic; one divert suffices.
+        for reg in ctx.flow.dead_registers(ctx.insn_idx):
+            return (f"redirect the write from the read-only frame "
+                    f"pointer r10 to dead register r{reg}",
+                    _replace(ctx, ctx.insn_idx, insn.with_(dst=reg)))
+        return None
+
+    yield _Proposal("divert-fp-write", 1, divert)
 
 
-def _t_widen_store(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_widen_store(ctx: RepairContext) -> Iterable[_Proposal]:
     """Partial pointer spill/copy: widen the access to 8 bytes."""
     insn = ctx.failing
     if insn is None or not insn.is_ldst() or insn.size == Size.DW:
         return
     widened = (insn.opcode & ~0x18) | Size.DW
-    yield RepairCandidate(
-        template="widen-to-dw",
-        description="widen the partial pointer access to a full "
-                    "8-byte slot",
-        insns=_replace(
-            ctx, ctx.insn_idx, insn.with_(opcode=widened)
-        ),
-        edit_distance=1,
-    )
+    yield _Proposal("widen-to-dw", 1, lambda: (
+        "widen the partial pointer access to a full 8-byte slot",
+        _replace(ctx, ctx.insn_idx, insn.with_(opcode=widened)),
+    ))
 
 
-def _t_retarget_jump(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_retarget_jump(ctx: RepairContext) -> Iterable[_Proposal]:
     """Jump out of range: retarget to the last instruction."""
     insn = ctx.failing
     if insn is None or not insn.is_jmp() or insn.is_exit() \
@@ -464,93 +446,81 @@ def _t_retarget_jump(ctx: RepairContext) -> Iterable[RepairCandidate]:
         off = target - ctx.insn_idx - 1
         if off == insn.off:
             continue
-        yield RepairCandidate(
-            template="retarget-jump",
-            description=f"retarget the out-of-range jump to {name}",
-            insns=_replace(ctx, ctx.insn_idx, insn.with_(off=off)),
-            edit_distance=1,
-        )
+        yield _Proposal("retarget-jump", 1, lambda name=name, off=off: (
+            f"retarget the out-of-range jump to {name}",
+            _replace(ctx, ctx.insn_idx, insn.with_(off=off)),
+        ))
 
 
-def _t_break_loop(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_break_loop(ctx: RepairContext) -> Iterable[_Proposal]:
     """Infinite loop: break the back edge nearest the failing insn."""
-    back = ctx.cfg.back_edges()
-    if not back:
-        return
-    fail_block = (
-        ctx.cfg.block_of(ctx.insn_idx).index
-        if ctx.failing is not None
-        else -1
-    )
-    # Prefer the back edge that re-enters the failing block (the loop
-    # header the verifier reported), else the first in sorted order.
-    back.sort(key=lambda edge: (edge[1] != fail_block, edge))
-    for src_block, _dst_block in back:
-        block = ctx.cfg.blocks[src_block]
-        term = block.terminator
-        while term > block.start and ctx.insns[term].is_filler():
-            term -= 1
-        insn = ctx.insns[term]
-        if not insn.is_jmp() or insn.is_exit() or insn.is_call():
-            continue
-        yield RepairCandidate(
-            template="break-back-edge",
-            description=f"neutralise the loop's back edge at insn "
-                        f"{term} (jump becomes fall-through)",
-            insns=_replace(ctx, term, ja(0)),
-            edit_distance=1,
+
+    def break_back_edge():
+        back = ctx.cfg.back_edges()
+        fail_block = (
+            ctx.cfg.block_of(ctx.insn_idx).index
+            if ctx.failing is not None
+            else -1
         )
-        return
+        # Prefer the back edge that re-enters the failing block (the
+        # loop header the verifier reported), else the first in sorted
+        # order.
+        back.sort(key=lambda edge: (edge[1] != fail_block, edge))
+        for src_block, _dst_block in back:
+            block = ctx.cfg.blocks[src_block]
+            term = block.terminator
+            while term > block.start and ctx.insns[term].is_filler():
+                term -= 1
+            insn = ctx.insns[term]
+            if not insn.is_jmp() or insn.is_exit() or insn.is_call():
+                continue
+            return (f"neutralise the loop's back edge at insn {term} "
+                    "(jump becomes fall-through)",
+                    _replace(ctx, term, ja(0)))
+        return None
+
+    yield _Proposal("break-back-edge", 1, break_back_edge)
 
 
-def _t_stub_call(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_stub_call(ctx: RepairContext) -> Iterable[_Proposal]:
     """Bad helper/kfunc call: model the call as returning 0."""
     insn = ctx.failing
     if insn is None or not insn.is_call():
         return
-    yield RepairCandidate(
-        template="stub-call",
-        description="replace the rejected call with `r0 = 0` (the "
-                    "call's only architectural effect is defining r0)",
-        insns=_replace(ctx, ctx.insn_idx, mov64_imm(Reg.R0, 0)),
-        edit_distance=1,
-    )
+    yield _Proposal("stub-call", 1, lambda: (
+        "replace the rejected call with `r0 = 0` (the call's only "
+        "architectural effect is defining r0)",
+        _replace(ctx, ctx.insn_idx, mov64_imm(Reg.R0, 0)),
+    ))
 
 
-def _t_nop_failing(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_nop_failing(ctx: RepairContext) -> Iterable[_Proposal]:
     """Last resort: the failing instruction becomes a no-op jump."""
-    insns = _nop_slots(ctx, ctx.insn_idx)
-    if insns is None:
+    if not 0 <= ctx.insn_idx < len(ctx.insns):
         return
-    yield RepairCandidate(
-        template="nop-failing-insn",
-        description=f"replace the failing instruction at insn "
-                    f"{ctx.insn_idx} with a no-op (ja +0)",
-        insns=insns,
-        edit_distance=1,
-    )
+    yield _Proposal("nop-failing-insn", 1, lambda: (
+        f"replace the failing instruction at insn {ctx.insn_idx} with a "
+        "no-op (ja +0)",
+        _nop_slots(ctx, ctx.insn_idx),
+    ))
 
 
-def _t_exit_before(ctx: RepairContext) -> Iterable[RepairCandidate]:
+def _t_exit_before(ctx: RepairContext) -> Iterable[_Proposal]:
     """Last resort: truncate the failing path just before the fault."""
     insn = ctx.failing
     if insn is None or ctx.insn_idx == 0:
         return
-    yield RepairCandidate(
-        template="exit-before-failing",
-        description=f"exit cleanly just before the failing "
-                    f"instruction at insn {ctx.insn_idx}",
-        insns=_insert(
-            ctx, ctx.insn_idx, [mov64_imm(Reg.R0, 0), exit_insn()]
-        ),
-        edit_distance=2,
-    )
+    yield _Proposal("exit-before-failing", 2, lambda: (
+        f"exit cleanly just before the failing instruction at insn "
+        f"{ctx.insn_idx}",
+        _insert(ctx, ctx.insn_idx, [mov64_imm(Reg.R0, 0), exit_insn()]),
+    ))
 
 
 # --------------------------------------------------------------------------
 # registry
 
-_Template = Callable[[RepairContext], Iterable[RepairCandidate]]
+_Template = Callable[[RepairContext], Iterable[_Proposal]]
 
 #: Taxonomy reason code -> ordered template tuple.  The DESIGN 5i table
 #: mirrors this mapping; keep the two in sync.
@@ -602,46 +572,73 @@ TEMPLATE_ORDER: tuple[str, ...] = (
 )
 
 
+def _ranked(
+    insns: Sequence[Insn],
+    reason: str,
+    message: str,
+    insn_idx: int,
+    analysis: Callable[[], DataflowResult] | None,
+) -> Iterator[RepairCandidate]:
+    """Candidates in rank order, each built when it is asked for.
+
+    Ranking is (edit distance, registry order), both template
+    constants, so proposals sort before any is built.  A candidate
+    identical to the original program or to an earlier one is dropped.
+    """
+    insns = list(insns)
+    ctx = RepairContext(
+        insns=insns, reason=reason, message=message, insn_idx=insn_idx,
+        analysis=analysis or lazy_analysis(insns),
+    )
+    templates = _REASON_TEMPLATES.get(reason, ()) + _FALLBACK_TEMPLATES
+    proposals = [
+        (order, proposal)
+        for order, template in enumerate(templates)
+        for proposal in template(ctx)
+    ]
+    proposals.sort(key=lambda item: (item[1].edit_distance, item[0]))
+    seen = {tuple(insns)}
+    for order, proposal in proposals:
+        built = proposal.build()
+        if built is None:
+            continue
+        description, patched = built
+        key = tuple(patched)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield RepairCandidate(
+            template=proposal.template, description=description,
+            insns=patched, edit_distance=proposal.edit_distance,
+            order=order,
+        )
+
+
+def _encodes(insns: list[Insn]) -> bool:
+    try:
+        encode_program(insns)
+    except Exception:
+        return False
+    return True
+
+
 def propose_repairs(
     insns: Sequence[Insn],
     reason: str,
     message: str,
     insn_idx: int,
-    flow: DataflowResult | None = None,
+    analysis: Callable[[], DataflowResult] | None = None,
 ) -> list[RepairCandidate]:
     """Ranked, deduplicated candidate patches for one rejection.
 
     Ranking is (edit distance, registry order): the cheapest patch that
     a more specific template produced wins.  Candidates identical to
     the original program or to an earlier candidate are dropped.
-    ``flow`` is the program's :func:`~repro.analysis.dataflow.analyze`
-    result, when the caller already has it.
+    ``analysis`` returns the program's
+    :func:`~repro.analysis.dataflow.analyze` result; it is called only
+    by the templates that read it.
     """
-    insns = list(insns)
-    if flow is None:
-        flow = analyze(insns)
-    ctx = RepairContext(
-        insns=insns, reason=reason, message=message,
-        insn_idx=insn_idx, cfg=flow.cfg, flow=flow,
-    )
-
-    templates = _REASON_TEMPLATES.get(reason, ()) + _FALLBACK_TEMPLATES
-    candidates: list[RepairCandidate] = []
-    for order, template in enumerate(templates):
-        for candidate in template(ctx):
-            candidate.order = order
-            candidates.append(candidate)
-
-    seen = {tuple(insns)}
-    ranked: list[RepairCandidate] = []
-    for candidate in sorted(
-        candidates, key=lambda c: (c.edit_distance, c.order)
-    ):
-        key = tuple(candidate.insns)
-        if key not in seen:
-            seen.add(key)
-            ranked.append(candidate)
-    return ranked
+    return list(_ranked(insns, reason, message, insn_idx, analysis))
 
 
 def synthesize_repair(
@@ -651,7 +648,7 @@ def synthesize_repair(
     reason: str,
     message: str,
     insn_idx: int,
-    flow: DataflowResult | None = None,
+    analysis: Callable[[], DataflowResult] | None = None,
     max_attempts: int = MAX_VERIFY_ATTEMPTS,
 ) -> Repair | None:
     """Find and **verify** a minimal patch for one rejected program.
@@ -663,25 +660,23 @@ def synthesize_repair(
     loaded, and one the codec cannot encode is skipped without counting
     as an attempt.  No unverified repair is ever returned.  Candidates
     are loaded without the sanitizer pass: it runs after the verdict
-    and never rejects, so it could only add work.  ``flow`` is passed
-    on to :func:`propose_repairs`.
+    and never rejects, so it could only add work.  A candidate is built
+    only when the previous one has failed, and ``analysis`` (as for
+    :func:`propose_repairs`) is called only if a built one reads it.
     """
     from repro.ebpf.program import BpfProgram
     from repro.errors import BpfError, InvariantViolation, VerifierReject
 
-    candidates = propose_repairs(prog.insns, reason, message, insn_idx,
-                                 flow)
-    attempt = 0
-    for candidate in candidates:
-        try:
-            encode_program(candidate.insns)
-        except Exception:
-            # A candidate the codec cannot even encode would never
-            # reach the verifier.
-            continue
-        attempt += 1
-        if attempt > max_attempts:
-            break
+    # A candidate the codec cannot even encode would never reach the
+    # verifier.
+    tried = islice(
+        (candidate
+         for candidate in _ranked(prog.insns, reason, message, insn_idx,
+                                  analysis)
+         if _encodes(candidate.insns)),
+        max_attempts,
+    )
+    for attempt, candidate in enumerate(tried, start=1):
         patched = BpfProgram(
             insns=list(candidate.insns),
             prog_type=prog.prog_type,

@@ -229,24 +229,15 @@ def render_dashboard(artifact: dict) -> str:
             _render_histogram(name, hist, lines)
 
     counters = metrics.get("counters", {})
-    if any(
-        key.startswith(("cache.", "verifier.prune.")) for key in counters
-    ):
-        rates = cache_hit_rates(counters)
-        lines += ["", "verifier fast-path cache health:"]
-        for label, rate_key, hits_key, misses_key in (
-            ("tnum memo", "tnum_memo_hit_rate",
-             "cache.tnum.hits", "cache.tnum.misses"),
-            ("prune scan", "prune_index_hit_rate",
-             "verifier.prune.scan_hits", "verifier.prune.misses"),
-        ):
-            rate = rates[rate_key]
-            hits = counters.get(hits_key, 0)
-            misses = counters.get(misses_key, 0)
-            lines.append(
-                f"  {label:<14} {rate:>6.1%}  "
-                f"(hits={hits} misses={misses}) {_bar(rate)}"
-            )
+    if any(key.startswith("verifier.prune.") for key in counters):
+        rate = cache_hit_rates(counters)["prune_index_hit_rate"]
+        hits = counters.get("verifier.prune.scan_hits", 0)
+        misses = counters.get("verifier.prune.misses", 0)
+        lines += [
+            "", "verifier fast-path cache health:",
+            f"  {'prune scan':<14} {rate:>6.1%}  "
+            f"(hits={hits} misses={misses}) {_bar(rate)}",
+        ]
 
     shards = artifact.get("shards", [])
     if shards:

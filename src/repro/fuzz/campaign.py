@@ -49,7 +49,6 @@ from repro.fuzz.oracle import BugFinding, Oracle
 from repro.fuzz.rng import FuzzRng
 from repro.fuzz.structure import GeneratedProgram
 from repro.runtime.executor import Executor
-from repro.verifier.tnum import tnum_memo_stats
 
 __all__ = [
     "STAGES",
@@ -327,9 +326,6 @@ class Campaign:
         clock = obs.PhaseClock(metrics=registry, recorder=recorder)
         self._clock = clock
         token = obs.install(registry, recorder, observer)
-        # The tnum memo LRUs are process-global (shards in one process
-        # share warm entries), so this shard's contribution is a delta.
-        tnum_before = tnum_memo_stats()
 
         def sample() -> None:
             edges = self.coverage.edges
@@ -355,12 +351,6 @@ class Campaign:
             self._flight = None
             self._profiler = None
             self._frontier = None
-        tnum_after = tnum_memo_stats()
-        registry.counter("cache.tnum.hits",
-                         tnum_after["hits"] - tnum_before["hits"])
-        registry.counter("cache.tnum.misses",
-                         tnum_after["misses"] - tnum_before["misses"])
-        registry.gauge_max("cache.tnum.entries", tnum_after["entries"])
         result.final_coverage = self.coverage.edge_count
         result.corpus_size = len(self.corpus)
         result.stage_seconds = clock.seconds
@@ -449,25 +439,21 @@ class Campaign:
                 errno, message = rejection
                 reason = self._reject(result, errno, message)
 
-        if rejection is not None:
-            # The repair templates always need the program's dataflow;
-            # an explanation's root cause reads the same analysis.
-            flow = None
-            if self._flight is not None and (
-                reason not in result.reject_explanations
-                or obs.recorder().enabled
-            ):
-                with self._stage("explain"):
-                    if self.config.repair_feedback:
-                        from repro.analysis.dataflow import analyze
+        if rejection is not None and self._flight is not None:
+            from repro.analysis.dataflow import lazy_analysis
 
-                        flow = analyze(prog.insns)
+            # An explanation's root cause and some repair templates read
+            # the program's dataflow: whichever reads it first runs it.
+            analysis = lazy_analysis(prog.insns)
+            if (reason not in result.reject_explanations
+                    or obs.recorder().enabled):
+                with self._stage("explain"):
                     self._explain_reject(result, errno, message, reason,
-                                         prog, iteration, flow)
+                                         prog, iteration, analysis)
             if self.config.repair_feedback:
                 with self._stage("repair"):
                     self._attempt_repair(result, reason, message, gp,
-                                         iteration, kernel, prog, flow)
+                                         iteration, kernel, prog, analysis)
 
         if self.differential is not None:
             # The primary load's reads and verdict answer every profile
@@ -526,11 +512,11 @@ class Campaign:
         reason: str,
         prog: BpfProgram,
         iteration: int,
-        flow=None,
+        analysis,
     ) -> None:
         """Spill the flight ring for a rejection to the trace, and keep
         one explanation per taxonomy reason (the earliest iteration).
-        ``flow`` is the program's dataflow analysis, if already run."""
+        ``analysis`` returns the program's dataflow analysis."""
         events = self._flight.snapshot()
         rec = obs.recorder()
         if rec.enabled:
@@ -548,7 +534,7 @@ class Campaign:
             errno=errno,
             program=prog.name,
             insns=prog.insns,
-            flow=flow,
+            analysis=analysis,
         )
         entry = explanation.to_dict()
         entry["iteration"] = iteration
@@ -563,7 +549,7 @@ class Campaign:
         iteration: int,
         kernel: Kernel,
         prog: BpfProgram,
-        flow,
+        analysis,
     ) -> None:
         """Synthesize + verify a minimal patch for one rejection.
 
@@ -582,7 +568,8 @@ class Campaign:
         insn_idx = max(self._flight.rejected_at() or 0, 0)
         repair = synthesize_repair(
             kernel, prog,
-            reason=reason, message=message, insn_idx=insn_idx, flow=flow,
+            reason=reason, message=message, insn_idx=insn_idx,
+            analysis=analysis,
         )
         if repair is None:
             return

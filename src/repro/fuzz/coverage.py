@@ -57,9 +57,10 @@ ALU/memory checks, branch reasoning, and call checking), where control
 flow corresponds to verifier verdicts.  The data-structure modules
 (``tnum``/``state``/``stack``/``env``) are arithmetic and
 book-keeping plumbing whose edges carry no feedback signal — and
-keeping them out of scope is also what makes the tnum memoization and
-copy-on-write clone machinery they host *coverage-transparent*: a
-cache hit or miss can never change which edges a program contributes.
+keeping them out of scope is also what makes the value-type and
+copy-on-write clone machinery they host *coverage-transparent*: how a
+tnum is built or a register is cloned can never change which edges a
+program contributes.
 """
 
 from __future__ import annotations

@@ -196,9 +196,7 @@ def strip_wall(artifact: dict) -> dict:
     """The artifact minus every non-invariant field (invariance form).
 
     Removes the three wall-clock sections, the ``workers`` knob, and
-    the ``cache.`` metric family (see
-    :func:`~repro.obs.metrics.strip_wall_fields` for why cache
-    telemetry is excluded from the invariance contract).
+    the profiler's per-node wall times.  Every counter is kept.
     """
     stripped = copy.deepcopy(artifact)
     stripped.pop("wall", None)

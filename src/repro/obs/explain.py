@@ -203,7 +203,7 @@ def explain_events(
     program: str | None = None,
     insns=None,
     trail: int = TRAIL_LENGTH,
-    flow=None,
+    analysis=None,
 ) -> Explanation:
     """Reconstruct an explanation from a recorded event list.
 
@@ -211,9 +211,10 @@ def explain_events(
     ``verdict`` event carries (the campaign passes the post-processed
     ``final_message`` form, which is what the taxonomy classifies).
     ``insns`` (the submitted instruction list) enables disassembly of
-    the failing instruction; ``flow``, their
-    :func:`~repro.analysis.dataflow.analyze` result when the caller
-    already has it, spares the root-cause pass its own analysis.
+    the failing instruction; ``analysis``, a function returning their
+    :func:`~repro.analysis.dataflow.analyze` result (see
+    :func:`~repro.analysis.dataflow.lazy_analysis`), lets the
+    root-cause pass share the caller's analysis.
     """
     verdict_event: dict | None = None
     for event in reversed(events):
@@ -256,7 +257,7 @@ def explain_events(
 
     root_cause = None
     if insns is not None and 0 <= insn_idx < len(insns):
-        root_cause = _root_cause(insns, insn_idx, message, flow)
+        root_cause = _root_cause(insns, insn_idx, message, analysis)
 
     return Explanation(
         program=program,
@@ -273,7 +274,7 @@ def explain_events(
 
 
 def _root_cause(insns, insn_idx: int, message: str,
-                flow=None) -> dict | None:
+                analysis=None) -> dict | None:
     """Backfill the failing instruction with its root-cause def site.
 
     The verifier reports where it *noticed* the problem; the
@@ -302,7 +303,8 @@ def _root_cause(insns, insn_idx: int, message: str,
         reg = uses[0]
 
     try:
-        prov = bound_provenance(insns, insn_idx, reg, flow=flow)
+        prov = bound_provenance(insns, insn_idx, reg,
+                                flow=analysis() if analysis else None)
     except (IndexError, ValueError):  # pragma: no cover - defensive
         return None
     if prov.root_idx == insn_idx:

@@ -230,33 +230,16 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
 
 
 def strip_wall_fields(snapshot: dict) -> dict:
-    """A snapshot with its non-invariant sections removed.
+    """A snapshot without its ``wall`` section.
 
     This is the comparison form for the worker-invariance contract:
     two campaigns with the same ``(seed, budget, shards)`` must produce
-    equal stripped snapshots regardless of ``workers``.  Two families
-    are excluded:
-
-    - the ``wall`` section (wall-clock time is run-to-run noise);
-    - ``cache.``-prefixed metrics: the tnum memo LRUs are
-      process-global, so their hit/miss split depends on how shards
-      were packed into worker processes.  Cache effectiveness is
-      telemetry about the run, not about the campaign's semantics —
-      the semantic contract is precisely that everything *outside*
-      this family is unchanged by caching.
+    equal stripped snapshots regardless of ``workers``.  Wall-clock
+    time is run-to-run noise; every counter, gauge and histogram
+    outside ``wall`` is compared.
     """
-    stripped = {}
-    for section, value in snapshot.items():
-        if section == "wall":
-            continue
-        if isinstance(value, dict):
-            value = {
-                name: v
-                for name, v in value.items()
-                if not name.startswith("cache.")
-            }
-        stripped[section] = value
-    return stripped
+    return {section: value for section, value in snapshot.items()
+            if section != "wall"}
 
 
 def _hit_rate(counters: dict, hits_key: str, misses_key: str) -> float:
@@ -266,16 +249,12 @@ def _hit_rate(counters: dict, hits_key: str, misses_key: str) -> float:
 
 
 def cache_hit_rates(counters: dict) -> dict:
-    """Hit rates of the verifier fast-path caches, from one counter map.
+    """Hit rate of the verifier's prune index, from one counter map.
 
-    Read by the ``repro report`` dashboard.  The tnum memo is
-    process-global, so its rate depends on what the process ran before
-    and is reported, never gated; the prune index's counts are exact
-    and are compared by ``benchmarks/check_baseline.py``.
+    Read by the ``repro report`` dashboard.  The counts are exact and
+    are compared by ``benchmarks/check_baseline.py``.
     """
     return {
-        "tnum_memo_hit_rate": _hit_rate(
-            counters, "cache.tnum.hits", "cache.tnum.misses"),
         "prune_index_hit_rate": _hit_rate(
             counters, "verifier.prune.scan_hits", "verifier.prune.misses"),
     }

@@ -28,6 +28,8 @@ U64_MAX = (1 << 64) - 1
 U32_MAX = (1 << 32) - 1
 S64_MAX = (1 << 63) - 1
 S64_MIN = -(1 << 63)
+_SIGN_BIT = 1 << 63
+_TWO64 = 1 << 64
 
 
 def u64(value: int) -> int:
@@ -73,7 +75,7 @@ NULL_RESOLVES_TO = {
 POINTER_TYPES = frozenset(RegType) - {RegType.NOT_INIT, RegType.SCALAR}
 
 
-@dataclass
+@dataclass(slots=True)
 class RegState:
     """Abstract state of one register."""
 
@@ -108,26 +110,25 @@ class RegState:
 
     # --- constructors -----------------------------------------------------
 
+    # The three hottest constructors fill the slots directly: the
+    # generated ``__init__`` costs about twice as much.
+
     @classmethod
     def not_init(cls) -> "RegState":
-        return cls(type=RegType.NOT_INIT)
+        return _fresh(cls, RegType.NOT_INIT, TNUM_UNKNOWN,
+                      S64_MIN, S64_MAX, 0, U64_MAX, 0)
 
     @classmethod
     def unknown_scalar(cls, id: int = 0) -> "RegState":
-        return cls(type=RegType.SCALAR, id=id)
+        return _fresh(cls, RegType.SCALAR, TNUM_UNKNOWN,
+                      S64_MIN, S64_MAX, 0, U64_MAX, id)
 
     @classmethod
     def const_scalar(cls, value: int) -> "RegState":
-        value = u64(value)
-        reg = cls(
-            type=RegType.SCALAR,
-            var_off=tnum_const(value),
-            umin=value,
-            umax=value,
-            smin=s64(value),
-            smax=s64(value),
-        )
-        return reg
+        value &= U64_MAX
+        signed = value - _TWO64 if value & _SIGN_BIT else value
+        return _fresh(cls, RegType.SCALAR, tnum_const(value),
+                      signed, signed, value, value, 0)
 
     @classmethod
     def pointer(cls, reg_type: RegType, **kwargs) -> "RegState":
@@ -192,53 +193,73 @@ class RegState:
         self.ref_obj_id = 0
 
     def clone(self) -> "RegState":
-        # ``dataclasses.replace`` would re-run the generated __init__
-        # (13 keyword assignments plus default processing); a __dict__
-        # copy is ~3x faster and this is one of the hottest calls in a
-        # campaign.  The copy starts life private (shared=False).
-        new = object.__new__(RegState)
-        d = new.__dict__
-        d.update(self.__dict__)
-        d["shared"] = False
+        """A private copy (``shared`` reset): one of the hottest calls
+        in a campaign, so it copies the slots directly."""
+        new = _new(RegState)
+        new.type = self.type
+        new.var_off = self.var_off
+        new.smin = self.smin
+        new.smax = self.smax
+        new.umin = self.umin
+        new.umax = self.umax
+        new.off = self.off
+        new.map = self.map
+        new.btf = self.btf
+        new.mem_size = self.mem_size
+        new.pkt_range = self.pkt_range
+        new.id = self.id
+        new.ref_obj_id = self.ref_obj_id
+        new.subprog = self.subprog
+        new.shared = False
         return new
 
     # --- bounds synchronisation ---------------------------------------------------
 
     def _update_bounds(self) -> None:
         """tnum -> interval bounds (``__update_reg64_bounds``)."""
-        sign_bit = 1 << 63
-        self.smin = max(
-            self.smin, s64(self.var_off.value | (self.var_off.mask & sign_bit))
-        )
-        self.smax = min(
-            self.smax, s64(self.var_off.value | (self.var_off.mask & ~sign_bit))
-        )
-        self.umin = max(self.umin, self.var_off.value)
-        self.umax = min(self.umax, self.var_off.value | self.var_off.mask)
+        var = self.var_off
+        value, mask = var.value, var.mask
+        smin = value | (mask & _SIGN_BIT)
+        if smin & _SIGN_BIT:
+            smin -= _TWO64
+        smax = value | (mask & ~_SIGN_BIT)
+        if smax & _SIGN_BIT:
+            smax -= _TWO64
+        if smin > self.smin:
+            self.smin = smin
+        if smax < self.smax:
+            self.smax = smax
+        if value > self.umin:
+            self.umin = value
+        if value | mask < self.umax:
+            self.umax = value | mask
 
     def _deduce_bounds(self) -> None:
         """signed <-> unsigned cross-derivation (``__reg64_deduce_bounds``)."""
-        if self.smin >= 0 or self.smax < 0:
+        smin, smax, umin, umax = self.smin, self.smax, self.umin, self.umax
+        if smin >= 0 or smax < 0:
             # Sign is known: signed and unsigned ranges agree as u64.
-            self.umin = max(self.umin, u64(self.smin))
-            self.umax = min(self.umax, u64(self.smax))
-            self.smin = s64(self.umin)
-            self.smax = s64(self.umax)
+            umin = max(umin, smin & U64_MAX)
+            umax = min(umax, smax & U64_MAX)
+            self.umin, self.umax = umin, umax
+            self.smin, self.smax = s64(umin), s64(umax)
             return
-        if s64(self.umax) >= 0:
+        if s64(umax) >= 0:
             # Whole unsigned range is non-negative as signed; the old
             # smax (>= 0 here) is still a valid upper bound, so keep
             # whichever is tighter (kernel: min_t(u64, smax, umax)).
-            self.smin = max(self.smin, self.umin)
-            self.smax = min(self.smax, s64(self.umax))
-            self.umax = u64(self.smax)
-        elif s64(self.umin) < 0:
+            smax = min(smax, s64(umax))
+            self.smin = max(smin, umin)
+            self.smax = smax
+            self.umax = smax & U64_MAX
+        elif s64(umin) < 0:
             # Whole unsigned range is negative as signed; the old smin
             # (< 0 here) still bounds from below (kernel: max_t(u64,
             # smin, umin) — comparing as u64 picks the tighter one).
-            self.smin = max(self.smin, s64(self.umin))
-            self.smax = min(self.smax, s64(self.umax))
-            self.umin = u64(self.smin)
+            smin = max(smin, s64(umin))
+            self.smin = smin
+            self.smax = min(smax, s64(umax))
+            self.umin = smin & U64_MAX
 
     def _bound_offset(self) -> None:
         """interval bounds -> tnum (``__reg_bound_offset``)."""
@@ -290,6 +311,32 @@ class RegState:
             extra.append(f"range={self.pkt_range}")
         suffix = f"({','.join(extra)})" if extra else ""
         return f"{self.type.value}{suffix}"
+
+
+_new = object.__new__
+
+
+def _fresh(cls, reg_type: RegType, var_off: Tnum, smin: int, smax: int,
+           umin: int, umax: int, id: int) -> RegState:
+    """A non-pointer register with the given scalar domain and every
+    other field at its default."""
+    reg = _new(cls)
+    reg.type = reg_type
+    reg.var_off = var_off
+    reg.smin = smin
+    reg.smax = smax
+    reg.umin = umin
+    reg.umax = umax
+    reg.off = 0
+    reg.map = None
+    reg.btf = None
+    reg.mem_size = 0
+    reg.pkt_range = 0
+    reg.id = id
+    reg.ref_obj_id = 0
+    reg.subprog = 0
+    reg.shared = False
+    return reg
 
 
 def regs_equal_scalar_range(old: RegState, new: RegState) -> bool:

@@ -10,27 +10,23 @@ property-based tests assert the defining soundness condition for every
 operation: if concrete ``x`` is in ``a`` and concrete ``y`` is in
 ``b``, then ``x <op> y`` is in ``tnum_<op>(a, b)``.
 
-Memoization
------------
+Representation
+--------------
 
-Campaign programs draw their immediates from a small population of
-interesting constants, so the same ``(value, mask)`` operand pairs hit
-the same tnum ops over and over.  Every binary operation (and
-``tnum_range``) therefore runs through a bounded per-op LRU keyed on
-the operand ``(op, value, mask)`` pairs — :func:`functools.lru_cache`,
-whose C implementation makes a hit cheaper than re-deriving even the
-cheapest op.  Because a :class:`Tnum` is an immutable value, returning
-a cached instance is observationally identical to recomputing it; the
-property tests in ``tests/verifier`` assert exactly that for every op.
-:func:`tnum_memo_stats` exposes aggregate hit/miss counters for the
-campaign's cache metrics and :func:`tnum_memo_clear` resets the LRUs
-(used by tests and benchmark harnesses that want cold-cache numbers).
+:class:`Tnum` is a frozen, slotted dataclass: two slots, no instance
+``__dict__``, and assignment raises ``FrozenInstanceError``.  Checked
+construction (``Tnum(value, mask)``) validates the invariant; the op
+kernels below build their results through :func:`_mk`, which fills the
+slots directly because each kernel establishes the invariant by its
+arithmetic.  Every op recomputes its result.  A process-global memo of
+the ops measured neutral end to end once tnums were slotted
+(EXPERIMENTS.md, "Slotted value types"), and it made the campaign's
+cache counters depend on what the process had run before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "Tnum",
@@ -39,19 +35,13 @@ __all__ = [
     "tnum_const",
     "tnum_range",
     "tnum_memo_stats",
-    "tnum_memo_clear",
 ]
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
 
-#: Entries per memoized operation.  Big enough that a campaign shard's
-#: working set of constants never thrashes, small enough (< a few MB
-#: across all ops) to be irrelevant for memory.
-_MEMO_SIZE = 1 << 16
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tnum:
     """A tristate number over 64 bits."""
 
@@ -199,20 +189,25 @@ def _mk(value: int, mask: int) -> Tnum:
     u64 range, so re-validating in ``__post_init__`` on the hot path
     would only re-prove what the arithmetic just established.  External
     construction still goes through the checked ``Tnum(...)`` path.
+    The slots are filled through their member descriptors, which the
+    frozen ``__setattr__`` does not intercept.
     """
-    t = object.__new__(Tnum)
-    object.__setattr__(t, "value", value)
-    object.__setattr__(t, "mask", mask)
+    t = _new(Tnum)
+    _set_value(t, value)
+    _set_mask(t, mask)
     return t
 
 
-# --- memoized op kernels ---------------------------------------------------
-#
-# Keyed on raw (value, mask) ints rather than Tnum instances so that
-# equal operands hit regardless of which instance carries them, and so
-# a key never retains a bigger object graph than four ints.
+_new = object.__new__
+_set_value = Tnum.value.__set__
+_set_mask = Tnum.mask.__set__
 
-@lru_cache(maxsize=_MEMO_SIZE)
+
+# --- op kernels ----------------------------------------------------------
+#
+# Kernels take raw (value, mask) ints, so a method passes its operands'
+# fields without building intermediate tnums.
+
 def _add(av: int, am: int, bv: int, bm: int) -> Tnum:
     sm = (am + bm) & _U64
     sv = (av + bv) & _U64
@@ -222,7 +217,6 @@ def _add(av: int, am: int, bv: int, bm: int) -> Tnum:
     return _mk(sv & ~mu & _U64, mu & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _sub(av: int, am: int, bv: int, bm: int) -> Tnum:
     dv = (av - bv) & _U64
     alpha = (dv + am) & _U64
@@ -232,7 +226,6 @@ def _sub(av: int, am: int, bv: int, bm: int) -> Tnum:
     return _mk(dv & ~mu & _U64, mu & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _and(av: int, am: int, bv: int, bm: int) -> Tnum:
     alpha = av | am
     beta = bv | bm
@@ -240,21 +233,18 @@ def _and(av: int, am: int, bv: int, bm: int) -> Tnum:
     return _mk(v, (alpha & beta & ~v) & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _or(av: int, am: int, bv: int, bm: int) -> Tnum:
     v = av | bv
     mu = am | bm
     return _mk(v, (mu & ~v) & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _xor(av: int, am: int, bv: int, bm: int) -> Tnum:
     v = av ^ bv
     mu = am | bm
     return _mk((v & ~mu) & _U64, mu & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _mul(av: int, am: int, bv: int, bm: int) -> Tnum:
     acc_v = (av * bv) & _U64
     acc = TNUM_ZERO
@@ -270,19 +260,16 @@ def _mul(av: int, am: int, bv: int, bm: int) -> Tnum:
     return _add(acc_v, 0, acc.value, acc.mask)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _lshift(v: int, m: int, shift: int) -> Tnum:
     shift &= 63
     return _mk((v << shift) & _U64, (m << shift) & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _rshift(v: int, m: int, shift: int) -> Tnum:
     shift &= 63
     return _mk(v >> shift, m >> shift)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _arshift(v: int, m: int, shift: int, insn_bitness: int) -> Tnum:
     shift &= insn_bitness - 1
     if insn_bitness == 32:
@@ -294,70 +281,24 @@ def _arshift(v: int, m: int, shift: int, insn_bitness: int) -> Tnum:
     return _mk((value & _U64) & ~(mask & _U64), mask & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _intersect(av: int, am: int, bv: int, bm: int) -> Tnum:
     v = av | bv
     mu = am & bm
     return _mk((v & ~mu) & _U64, mu & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _union(av: int, am: int, bv: int, bm: int) -> Tnum:
     chi = (av ^ bv) | am | bm
     # Any differing or unknown bit becomes unknown.
     return _mk((av & ~chi) & _U64, chi & _U64)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _const(value: int) -> Tnum:
-    return _mk(value, 0)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _range(lo: int, hi: int) -> Tnum:
-    if lo > hi:
-        return TNUM_UNKNOWN
-    chi = lo ^ hi
-    bits = chi.bit_length()
-    if bits > 63:
-        return TNUM_UNKNOWN
-    delta = (1 << bits) - 1
-    return _mk(lo & ~delta, delta)
-
-
-#: Every memoized kernel, for stats aggregation and cache clearing.
-_MEMO_OPS = {
-    "add": _add,
-    "sub": _sub,
-    "and": _and,
-    "or": _or,
-    "xor": _xor,
-    "mul": _mul,
-    "lshift": _lshift,
-    "rshift": _rshift,
-    "arshift": _arshift,
-    "intersect": _intersect,
-    "union": _union,
-    "const": _const,
-    "range": _range,
-}
-
-
 def tnum_memo_stats() -> dict[str, int]:
-    """Aggregate hit/miss/size counters across all op LRUs."""
-    hits = misses = size = 0
-    for fn in _MEMO_OPS.values():
-        info = fn.cache_info()
-        hits += info.hits
-        misses += info.misses
-        size += info.currsize
-    return {"hits": hits, "misses": misses, "entries": size}
+    """Zero counters: tnum ops are not memoized.
 
-
-def tnum_memo_clear() -> None:
-    """Drop every memoized entry (cold-cache test/benchmark hook)."""
-    for fn in _MEMO_OPS.values():
-        fn.cache_clear()
+    Kept only because perfbench's workloads import it.
+    """
+    return {"hits": 0, "misses": 0, "entries": 0}
 
 
 TNUM_UNKNOWN = Tnum(0, _U64)
@@ -366,7 +307,7 @@ TNUM_ZERO = Tnum(0, 0)
 
 def tnum_const(value: int) -> Tnum:
     """The tnum representing exactly ``value``."""
-    return _const(value & _U64)
+    return _mk(value & _U64, 0)
 
 
 def tnum_range(lo: int, hi: int) -> Tnum:
@@ -375,4 +316,13 @@ def tnum_range(lo: int, hi: int) -> Tnum:
     Port of the kernel's ``tnum_range``: all bits above the highest
     differing bit are known, the rest unknown.
     """
-    return _range(lo & _U64, hi & _U64)
+    lo &= _U64
+    hi &= _U64
+    if lo > hi:
+        return TNUM_UNKNOWN
+    chi = lo ^ hi
+    bits = chi.bit_length()
+    if bits > 63:
+        return TNUM_UNKNOWN
+    delta = (1 << bits) - 1
+    return _mk(lo & ~delta, delta)

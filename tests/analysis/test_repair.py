@@ -9,6 +9,7 @@ must be bit-identical for workers=1 vs 4.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from repro.analysis import dataflow
 from repro.analysis import repair as repair_module
@@ -234,15 +235,9 @@ def _sanitized_reference(kernel, prog, explanation):
     """The repair as synthesis found it when every candidate was loaded
     with the sanitizer pass: the first of the ranked, encodable
     candidates that ``prog_load(sanitize=True)`` accepts."""
-    candidates = []
-    for candidate in propose_repairs(prog.insns, explanation.reason,
-                                     explanation.message,
-                                     explanation.insn_idx):
-        try:
-            encode_program(candidate.insns)
-        except EncodingError:
-            continue
-        candidates.append(candidate)
+    candidates = [candidate for candidate in propose_repairs(
+        prog.insns, explanation.reason, explanation.message,
+        explanation.insn_idx) if _encodes(candidate.insns)]
     for attempt, candidate in enumerate(
             candidates[:MAX_VERIFY_ATTEMPTS], start=1):
         try:
@@ -351,7 +346,9 @@ def test_candidates_never_repeat_the_original():
 
 def test_one_dataflow_analysis_per_repaired_rejection(monkeypatch):
     """The explanation's root cause and the repair templates share one
-    analysis of the rejected program."""
+    analysis of the rejected program, run only when one of them reads
+    it: a new reason's explanation, or a tried candidate of
+    ``init-at-entry``, ``divert-fp-write`` or ``break-back-edge``."""
     calls = []
     analyze = dataflow.analyze
 
@@ -360,12 +357,83 @@ def test_one_dataflow_analysis_per_repaired_rejection(monkeypatch):
         return analyze(insns, cfg)
 
     monkeypatch.setattr(dataflow, "analyze", counted)
-    monkeypatch.setattr(repair_module, "analyze", counted)
     result = Campaign(CampaignConfig(budget=60, seed=3, flight=True,
                                      repair_feedback=True)).run()
     rejected = sum(result.reject_reasons.values())
-    assert rejected > 0 and result.reject_explanations
-    assert len(calls) == rejected
+    assert rejected == 21 and len(result.reject_explanations) == 5
+    # 5 new-reason explanations and 2 UNINIT_REGISTER rejections whose
+    # repair reached init-at-entry; the other 14 run no analysis.
+    assert len(calls) == 7
+
+
+def _eager_synthesis(kernel, prog, *, reason, message, insn_idx,
+                     analysis=None, max_attempts=MAX_VERIFY_ATTEMPTS):
+    """Synthesis over every candidate built up front, as
+    :func:`propose_repairs` builds them."""
+    candidates = [candidate for candidate in propose_repairs(
+        prog.insns, reason, message, insn_idx, analysis)
+        if _encodes(candidate.insns)]
+    for attempt, candidate in enumerate(candidates[:max_attempts], 1):
+        try:
+            kernel.prog_load(BpfProgram(insns=list(candidate.insns),
+                                        prog_type=prog.prog_type))
+        except (VerifierReject, BpfError, InvariantViolation):
+            continue
+        return repair_module.Repair(
+            template=candidate.template,
+            description=candidate.description, reason=reason,
+            insn_idx=insn_idx, edit_distance=candidate.edit_distance,
+            original=list(prog.insns), patched=list(candidate.insns),
+            attempts=attempt)
+    return None
+
+
+def _encodes(insns) -> bool:
+    try:
+        encode_program(insns)
+    except EncodingError:
+        return False
+    return True
+
+
+def test_lazy_candidates_repair_as_eager_ones(monkeypatch):
+    """Building each candidate only when it is tried finds the repairs
+    that building every candidate first finds, at the same attempts,
+    and calls ``insert_before`` once per tried insertion candidate."""
+    inserted = []
+    insert_before = repair_module.insert_before
+
+    def counted_insert(insns, blocks):
+        new_insns, index_map = insert_before(insns, blocks)
+        inserted.append(tuple(new_insns))
+        return new_insns, index_map
+
+    loaded = []
+    prog_load = Kernel.prog_load
+
+    def recorded_load(kernel, prog, *args, **kwargs):
+        if prog.name.endswith("+repair"):
+            loaded.append(tuple(prog.insns))
+        return prog_load(kernel, prog, *args, **kwargs)
+
+    config = CampaignConfig(budget=160, seed=3, repair_feedback=True)
+    monkeypatch.setattr(repair_module, "insert_before", counted_insert)
+    monkeypatch.setattr(Kernel, "prog_load", recorded_load)
+    lazy = Campaign(config).run()
+    lazy_inserts = len(inserted)
+    # Every insertion built was loaded, once: no candidate past the
+    # repair, and no duplicate, was built.
+    assert lazy_inserts and Counter(inserted) == Counter(
+        insns for insns in loaded if insns in set(inserted))
+
+    monkeypatch.setattr(repair_module, "synthesize_repair",
+                        _eager_synthesis)
+    eager = Campaign(config).run()
+    assert sum(eager.repairs_verified.values()) > 0
+    for name in ("repairs_attempted", "repairs_verified",
+                 "repair_examples"):
+        assert getattr(lazy, name) == getattr(eager, name), name
+    assert len(inserted) - lazy_inserts > lazy_inserts
 
 
 def test_shared_analysis_changes_no_explanation_or_candidate():
@@ -373,9 +441,11 @@ def test_shared_analysis_changes_no_explanation_or_candidate():
         flow = dataflow.analyze(prog.insns)
         args = (prog.insns, explanation.reason, explanation.message,
                 explanation.insn_idx)
-        assert propose_repairs(*args, flow) == propose_repairs(*args), name
+        assert propose_repairs(*args, lambda: flow) == propose_repairs(
+            *args), name
         verdict = [{"kind": "verdict", "verdict": "reject",
                     "insn": explanation.insn_idx}]
-        assert explain_events(verdict, message=explanation.message,
-                              insns=prog.insns, flow=flow) == explain_events(
+        assert explain_events(
+            verdict, message=explanation.message, insns=prog.insns,
+            analysis=lambda: flow) == explain_events(
             verdict, message=explanation.message, insns=prog.insns), name

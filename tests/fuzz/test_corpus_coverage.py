@@ -142,7 +142,7 @@ class TestCoverage:
 
     def test_scope_modules_carry_probes(self):
         """Every function of the decision modules is instrumented, and no
-        function of the data-structure modules is, so the tnum memo and
+        function of the data-structure modules is, so the value types and
         the copy-on-write clones stay invisible to coverage."""
         install_probes()
         for name in ("branches", "calls", "checks", "core"):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +125,61 @@ class TestMutation:
         copy = reg.clone()
         copy.mark_known(2)
         assert reg.const_value() == 1
+
+
+class TestValueType:
+    """``RegState`` is slotted, and its hot constructors and ``clone``
+    fill the slots by hand: each must set every dataclass field."""
+
+    def test_slotted(self):
+        reg = RegState()
+        assert not hasattr(reg, "__dict__")
+        with pytest.raises(AttributeError):
+            reg.not_a_field = 1
+
+    def test_clone_copies_every_field(self):
+        reg = RegState()
+        # A distinct sentinel per field: a field clone() misses is
+        # unset on the copy (AttributeError), a swapped one unequal.
+        sentinels = {f.name: object() for f in fields(RegState)}
+        for name, sentinel in sentinels.items():
+            setattr(reg, name, sentinel)
+        copy = reg.clone()
+        for name, sentinel in sentinels.items():
+            if name == "shared":
+                assert copy.shared is False
+            else:
+                assert getattr(copy, name) is sentinel, name
+
+    @pytest.mark.parametrize("make, expected", [
+        (RegState.not_init, RegState()),
+        (RegState.unknown_scalar, RegState(type=RegType.SCALAR)),
+        (lambda: RegState.unknown_scalar(7),
+         RegState(type=RegType.SCALAR, id=7)),
+        (lambda: RegState.const_scalar(-1),
+         RegState(type=RegType.SCALAR, var_off=tnum_const(U64),
+                  smin=-1, smax=-1, umin=U64, umax=U64)),
+    ])
+    def test_constructors_set_every_field(self, make, expected):
+        reg = make()
+        for f in fields(RegState):
+            assert getattr(reg, f.name) == getattr(expected, f.name), f.name
+
+    @given(st.integers(min_value=-(1 << 63), max_value=U64))
+    def test_const_scalar_matches_generated_init(self, value):
+        assert RegState.const_scalar(value) == RegState(
+            type=RegType.SCALAR, var_off=tnum_const(value),
+            smin=s64(value), smax=s64(value),
+            umin=u64(value), umax=u64(value))
+
+    def test_pickle_round_trip(self):
+        reg = RegState.pointer(RegType.PTR_TO_STACK, off=-8, id=3)
+        reg.shared = True
+        for original in (reg, RegState.const_scalar(-5),
+                         RegState.not_init()):
+            back = pickle.loads(pickle.dumps(original))
+            assert back == original
+            assert back.shared == original.shared
 
 
 class TestSubsumption:

@@ -8,17 +8,18 @@ pairs.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.verifier.tnum import (
-    _MEMO_OPS,
     TNUM_UNKNOWN,
     TNUM_ZERO,
     Tnum,
+    _mk,
     tnum_const,
-    tnum_memo_clear,
-    tnum_memo_stats,
     tnum_range,
 )
 
@@ -295,56 +296,48 @@ class TestWellFormednessPreservation:
 
 @st.composite
 def raw_tnum_ints(draw):
-    """A valid raw ``(value, mask)`` pair, as the memo kernels take it."""
+    """A valid raw ``(value, mask)`` pair, as the op kernels take it."""
     mask = draw(st.integers(min_value=0, max_value=U64))
     value = draw(st.integers(min_value=0, max_value=U64)) & ~mask
     return value & U64, mask & U64
 
 
-class TestMemoInvisibility:
-    """The lru_cache on each op kernel must be semantically invisible.
+class TestValueType:
+    """``Tnum`` is a frozen, slotted value: the unchecked ``_mk`` the op
+    kernels use must build exactly what checked construction builds."""
 
-    Every kernel in ``_MEMO_OPS`` is an ``lru_cache``-wrapped pure
-    function of ints; ``fn.__wrapped__`` is the unmemoized original.
-    For any valid operands, the cached call must return a tnum equal to
-    the uncached computation — and a second cached call (a guaranteed
-    LRU hit) must return the same result again.  This is the property
-    that lets the verifier fast path memoize ALU ops at all.
-    """
+    def test_assignment_raises(self):
+        t = tnum_const(5)
+        with pytest.raises(FrozenInstanceError):
+            t.value = 6
+        with pytest.raises(FrozenInstanceError):
+            t.mask = 0
+        assert t == Tnum(5, 0)
 
-    @staticmethod
-    def _check(fn, *args):
-        cached = fn(*args)
-        uncached = fn.__wrapped__(*args)
-        assert_wellformed(cached)
-        assert cached == uncached
-        assert fn(*args) == uncached  # hit path agrees too
+    def test_slotted(self):
+        assert not hasattr(tnum_const(5), "__dict__")
+        assert not hasattr(TNUM_UNKNOWN.add(TNUM_ZERO), "__dict__")
+
+    @pytest.mark.parametrize("value, mask", [
+        (0b11, 0b01), (-1, 0), (0, U64 + 1), (U64 + 1, 0),
+    ])
+    def test_checked_construction_rejects(self, value, mask):
+        with pytest.raises(ValueError):
+            Tnum(value, mask)
+
+    @given(raw_tnum_ints())
+    def test_mk_equals_checked(self, pair):
+        value, mask = pair
+        made = _mk(value, mask)
+        assert type(made) is Tnum
+        assert made == Tnum(value, mask)
+        assert hash(made) == hash(Tnum(value, mask))
+        assert (made.value, made.mask) == (value, mask)
 
     @given(raw_tnum_ints(), raw_tnum_ints())
-    def test_binary_kernels(self, a, b):
-        for name in ("add", "sub", "and", "or", "xor", "mul",
-                     "intersect", "union"):
-            self._check(_MEMO_OPS[name], a[0], a[1], b[0], b[1])
-
-    @given(raw_tnum_ints(), st.integers(min_value=0, max_value=127))
-    def test_shift_kernels(self, a, shift):
-        self._check(_MEMO_OPS["lshift"], a[0], a[1], shift)
-        self._check(_MEMO_OPS["rshift"], a[0], a[1], shift)
-        for bitness in (32, 64):
-            self._check(_MEMO_OPS["arshift"], a[0], a[1], shift, bitness)
-
-    @given(st.integers(min_value=0, max_value=U64),
-           st.integers(min_value=0, max_value=U64))
-    def test_const_and_range_kernels(self, lo, hi):
-        self._check(_MEMO_OPS["const"], lo)
-        self._check(_MEMO_OPS["range"], lo, hi)
-
-    def test_clear_and_stats_roundtrip(self):
-        tnum_memo_clear()
-        base = tnum_memo_stats()
-        assert base["entries"] == 0
-        tnum_const(99)
-        tnum_const(99)
-        after = tnum_memo_stats()
-        assert after["misses"] - base["misses"] >= 1
-        assert after["hits"] - base["hits"] >= 1
+    def test_pickle_round_trip(self, a, b):
+        for t in (Tnum(*a), Tnum(*a).add(Tnum(*b))):
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and type(back) is Tnum
+            with pytest.raises(FrozenInstanceError):
+                back.value = 0
