@@ -11,19 +11,23 @@ program exit (register bounds plus tnum masks).  Any disagreement is a
 same program is evidence that at least one of them is wrong (BRF's
 semantic-correctness angle, PAPERS.md).
 
-Divergences are then *classified* against the injected-flaw registry by
-replaying the program under single-difference configs:
+Divergences are then *classified* against the injected-flaw registry.
+The facts the two profiles differ on (flaws, then feature fields) are
+set on profile A's config as profile B has them, singletons first,
+then pairs, until one set reproduces B's outcome
+(:func:`~repro.kernel.config.smallest_fix`); only when none does is
+the whole delta replayed:
 
-- ``known-flaw`` — toggling exactly one :class:`~repro.kernel.config.
-  Flaw` the two profiles disagree on reproduces the other profile's
-  outcome.  These make the registry a regression oracle: every flaw
-  that manifests as a verdict/range divergence is detected statically.
-- ``feature-gap`` — toggling one feature field (kfunc support, the
-  nullness-propagation pass, ...) explains the difference; expected
+- ``known-flaw`` — one :class:`~repro.kernel.config.Flaw` the profiles
+  disagree on reproduces the other profile's outcome.  These make the
+  registry a regression oracle: every flaw that manifests as a
+  verdict/range divergence is detected statically, under its own id.
+- ``feature-gap`` — one or two feature fields (kfunc support, the
+  nullness-propagation pass, ...) explain the difference; expected
   version skew, not a bug.
-- ``combined`` — only the joint flaw+feature delta explains it (the
-  profiles differ in several interacting ways); explained, but with no
-  single root cause.
+- ``combined`` — a pair with at least one flaw, or only the full
+  flaw+feature delta, explains it (the profiles differ in several
+  interacting ways); explained, but with no single root cause.
 - ``unexplained`` — even replaying profile A under profile B's entire
   config does not reproduce B's outcome, i.e. verification depends on
   something outside the registry.  These become bug reports.
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from repro import obs
 from repro.ebpf.program import BpfProgram
 from repro.errors import BpfError, VerifierReject
-from repro.kernel.config import PROFILES, Flaw, KernelConfig
+from repro.kernel.config import PROFILES, Flaw, KernelConfig, smallest_fix
 from repro.kernel.syscall import replay_kernel
 from repro.obs.taxonomy import classify
 from repro.verifier.core import Verifier
@@ -99,7 +103,8 @@ class Divergence:
     outcome_a: ProfileOutcome
     outcome_b: ProfileOutcome
     classification: str  # 'known-flaw' | 'feature-gap' | 'combined' | 'unexplained'
-    #: the flaw value / feature field name backing the classification
+    #: the flaw values / feature field names backing the classification,
+    #: joined by ``,``
     explanation: str = ""
     iteration: int = -1
 
@@ -366,29 +371,39 @@ class DifferentialOracle:
         outcome_b: ProfileOutcome,
         memo: list,
     ) -> tuple[str, str]:
-        """Attribute one (A, B) divergence by single-difference replays."""
+        """Attribute one (A, B) divergence to the smallest set of registry
+        differences that, set on A's config as B has them, reproduces
+        B's outcome (:func:`~repro.kernel.config.smallest_fix`)."""
         target = outcome_b.signature
+        # Differing flaws (sorted for determinism), then feature fields.
+        facts = sorted(cfg_a.flaws ^ cfg_b.flaws, key=lambda f: f.value) + [
+            name for name in _FEATURE_FIELDS
+            if getattr(cfg_a, name) != getattr(cfg_b, name)
+        ]
 
-        # Single flaw toggles (sorted for determinism).
-        differing = sorted(cfg_a.flaws ^ cfg_b.flaws, key=lambda f: f.value)
-        for flaw in differing:
-            if flaw in cfg_b.flaws:
-                candidate = cfg_a.with_flaw(flaw)
+        def toward_b(toggled) -> KernelConfig:
+            flaws = {fact for fact in toggled if isinstance(fact, Flaw)}
+            return replace(
+                cfg_a,
+                flaws=(cfg_a.flaws - flaws) | (cfg_b.flaws & flaws),
+                **{name: getattr(cfg_b, name)
+                   for name in toggled if not isinstance(name, Flaw)},
+            )
+
+        def reproduces(toggled) -> bool:
+            obs.metrics().counter("differential.replays")
+            outcome = self._outcome(toward_b(toggled), gp, memo)
+            return outcome.signature == target
+
+        fix = smallest_fix(facts, reproduces)
+        if fix is not None:
+            if not any(isinstance(fact, Flaw) for fact in fix):
+                classification = "feature-gap"
+            elif len(fix) == 1:
+                classification = "known-flaw"
             else:
-                candidate = cfg_a.without_flaw(flaw)
-            obs.metrics().counter("differential.replays")
-            if self._outcome(candidate, gp, memo).signature == target:
-                return "known-flaw", flaw.value
-
-        # Single feature toggles.
-        for name in _FEATURE_FIELDS:
-            value_a, value_b = getattr(cfg_a, name), getattr(cfg_b, name)
-            if value_a == value_b:
-                continue
-            obs.metrics().counter("differential.replays")
-            candidate = replace(cfg_a, **{name: value_b})
-            if self._outcome(candidate, gp, memo).signature == target:
-                return "feature-gap", name
+                classification = "combined"
+            return classification, _explanation(fix)
 
         # The whole delta at once: A's config with every flaw and
         # feature difference applied is B's config modulo the version
@@ -396,19 +411,14 @@ class DifferentialOracle:
         # something outside the registry — a genuine bug report.  It is
         # always verified: recorded reads cover only registry facts,
         # which is exactly what this replay must not assume.
-        combined = replace(
-            cfg_a,
-            flaws=cfg_b.flaws,
-            **{name: getattr(cfg_b, name) for name in _FEATURE_FIELDS},
-        )
         obs.metrics().counter("differential.replays")
-        if self.verify_under(combined, gp).signature == target:
-            return "combined", ",".join(
-                [f.value for f in differing]
-                + [
-                    n
-                    for n in _FEATURE_FIELDS
-                    if getattr(cfg_a, n) != getattr(cfg_b, n)
-                ]
-            )
+        if self.verify_under(toward_b(facts), gp).signature == target:
+            return "combined", _explanation(facts)
         return "unexplained", "outcome not reproduced by any registry delta"
+
+
+def _explanation(facts) -> str:
+    """Flaw values and feature field names, joined by ``,``."""
+    return ",".join(
+        fact.value if isinstance(fact, Flaw) else fact for fact in facts
+    )

@@ -306,6 +306,11 @@ def render_dashboard(artifact: dict) -> str:
             f"  {bug_id:<34} {info.get('indicator', '?'):<10} "
             f"iteration {info.get('iteration', -1)}"
         )
+    # Every indicator-#1 report is attributed by replays (DESIGN §5e).
+    lines.append(
+        f"  indicator-1 triage: {counters.get('oracle.triage_replays', 0)} "
+        f"replays for {counters.get('oracle.indicator1', 0)} reports"
+    )
 
     differential = artifact.get("differential", {})
     if differential.get("enabled") or differential.get("total"):
@@ -322,7 +327,6 @@ def render_dashboard(artifact: dict) -> str:
         # classification replay; each is verified, or answered from the
         # reads of the campaign's own load of the program or of an
         # earlier differential verification (DESIGN §5e).
-        counters = (artifact.get("metrics") or {}).get("counters", {})
         asked = (len(DEFAULT_PROFILES) * summary.get("generated", 0)
                  + counters.get("differential.replays", 0))
         primary = counters.get("differential.primary", 0)

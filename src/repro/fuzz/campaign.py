@@ -684,9 +684,7 @@ class Campaign:
 
     def _record(self, result: CampaignResult, finding: BugFinding | None,
                 iteration: int) -> None:
-        if finding is None or finding.bug_id == "indicator1-duplicate":
-            return
-        if finding.bug_id not in result.findings:
+        if finding is not None and finding.bug_id not in result.findings:
             finding.iteration = iteration
             result.findings[finding.bug_id] = finding
 

@@ -9,9 +9,13 @@ reports into deduplicated :class:`BugFinding` records.
 
 For indicator-#1 findings the paper triages manually (Section 6.5); we
 automate the equivalent with *differential triage*: re-verify the
-crashing program against kernels with one candidate verifier flaw
-fixed at a time — the fix that makes the verifier reject the program
-is the root cause.
+crashing program with candidate verifier flaws fixed, one at a time
+and then in pairs (:func:`~repro.kernel.config.smallest_fix`).  The
+smallest fix that makes the verifier reject the program is the root
+cause.  A program that is still accepted with every injected flaw
+fixed is filed as ``verifier-unsound``: our own verifier passed an
+invalid access.  The oracle keeps no state between reports, so every
+report is replayed, however late in a campaign it comes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import (
-    AluLimitViolation,
     BpfError,
     KasanReport,
     KernelPanic,
@@ -33,7 +36,12 @@ from repro.errors import (
     VerifierReject,
     WarnReport,
 )
-from repro.kernel.config import Flaw, KernelConfig
+from repro.kernel.config import (
+    COMPONENT_FLAWS,
+    Flaw,
+    KernelConfig,
+    smallest_fix,
+)
 from repro.kernel.syscall import replay_kernel
 from repro.fuzz.structure import GeneratedProgram
 
@@ -75,12 +83,14 @@ class BugFinding:
 
 
 class Oracle:
-    """Classifies captured reports into findings."""
+    """Classifies captured reports into findings.
+
+    Holds only its kernel config: classifying the same report twice
+    replays the same loads and gives the same finding.
+    """
 
     def __init__(self, config: KernelConfig) -> None:
         self.config = config
-        #: indicator-1 flaws already attributed (triage short-circuit)
-        self._attributed: set[Flaw] = set()
 
     # --- classification -------------------------------------------------------
 
@@ -88,146 +98,79 @@ class Oracle:
         self, report: KernelReport, gp: GeneratedProgram | None
     ) -> BugFinding:
         """Map a kernel self-check report to a finding."""
-        finding = self._classify_report(report, gp)
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle." + finding.indicator)
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=finding.bug_id,
-                      indicator=finding.indicator, report=report.kind)
-        return finding
+        return _filed(self._classify_report(report, gp))
 
     def _classify_report(
         self, report: KernelReport, gp: GeneratedProgram | None
     ) -> BugFinding:
         message = str(report)
 
-        if isinstance(report, (SanitizerReport, AluLimitViolation)):
-            bug_id = self._triage_indicator1(gp)
-            return BugFinding(
-                bug_id=bug_id,
-                indicator="indicator1",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
-
         if isinstance(report, LockdepReport):
             lock = report.context.get("lock", "")
             if lock == "trace_printk_lock":
-                return self._finding(Flaw.TRACE_PRINTK_DEADLOCK, "indicator2",
-                                     report, gp)
+                return _finding(Flaw.TRACE_PRINTK_DEADLOCK, report, gp)
             if lock == "contention_lock":
-                return self._finding(Flaw.CONTENTION_BEGIN_LOCK, "indicator2",
-                                     report, gp)
+                return _finding(Flaw.CONTENTION_BEGIN_LOCK, report, gp)
             if lock == "ringbuf_waitq_lock":
-                return self._finding(Flaw.IRQ_WORK_LOCK, "component", report, gp)
-            return BugFinding(
-                bug_id=f"lockdep:{lock or report.context.get('kind', 'unknown')}",
-                indicator="indicator2",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
+                return _finding(Flaw.IRQ_WORK_LOCK, report, gp)
+            kind = lock or report.context.get("kind", "unknown")
+            return _finding(f"lockdep:{kind}", report, gp)
 
         if isinstance(report, RecursionReport):
             tracepoint = report.context.get("tracepoint", "")
             if tracepoint == "bpf_trace_printk":
-                return self._finding(Flaw.TRACE_PRINTK_DEADLOCK, "indicator2",
-                                     report, gp)
+                return _finding(Flaw.TRACE_PRINTK_DEADLOCK, report, gp)
             if tracepoint == "contention_begin":
-                return self._finding(Flaw.CONTENTION_BEGIN_LOCK, "indicator2",
-                                     report, gp)
-            return BugFinding(
-                bug_id=f"recursion:{tracepoint}",
-                indicator="indicator2",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
+                return _finding(Flaw.CONTENTION_BEGIN_LOCK, report, gp)
+            return _finding(f"recursion:{tracepoint}", report, gp)
 
         if isinstance(report, KernelPanic):
             if "send_signal" in message:
-                return self._finding(Flaw.SIGNAL_PANIC, "indicator2", report, gp)
-            return BugFinding(
-                bug_id="panic:other",
-                indicator="indicator2",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
+                return _finding(Flaw.SIGNAL_PANIC, report, gp)
+            return _finding("panic:other", report, gp)
 
-        if isinstance(report, NullDerefReport):
-            if "dispatcher" in message:
-                return self._finding(Flaw.DISPATCHER_RACE, "component", report, gp)
-            # A raw null dereference by the program itself: the
-            # unsanitized face of indicator #1.
-            bug_id = self._triage_indicator1(gp)
-            return BugFinding(
-                bug_id=bug_id,
-                indicator="indicator1",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
+        if isinstance(report, NullDerefReport) and "dispatcher" in message:
+            return _finding(Flaw.DISPATCHER_RACE, report, gp)
+        if isinstance(report, WarnReport) and "offloaded" in message:
+            return _finding(Flaw.XDP_DEV_HOST, report, gp)
+        if (isinstance(report, KasanReport)
+                and not isinstance(report, SanitizerReport)
+                and "htab-iter" in message):
+            return _finding(Flaw.MAP_BUCKET_ITER, report, gp)
 
-        if isinstance(report, WarnReport):
-            if "offloaded" in message:
-                return self._finding(Flaw.XDP_DEV_HOST, "component", report, gp)
+        # Indicator #1: an invalid access by the program itself, caught by
+        # the sanitizer (SanitizerReport, AluLimitViolation), by KASAN, or
+        # unsanitized as a raw null dereference.
+        if isinstance(report, (KasanReport, NullDerefReport)):
+            return _finding(self._triage_indicator1(gp), report, gp,
+                            indicator="indicator1")
 
-        if isinstance(report, KasanReport):
-            who = message
-            if "htab-iter" in who:
-                return self._finding(Flaw.MAP_BUCKET_ITER, "component", report, gp)
-            bug_id = self._triage_indicator1(gp)
-            return BugFinding(
-                bug_id=bug_id,
-                indicator="indicator1",
-                report_kind=report.kind,
-                message=message,
-                prog=gp,
-            )
-
-        return BugFinding(
-            bug_id=f"report:{report.kind}",
-            indicator="indicator2",
-            report_kind=report.kind,
-            message=message,
-            prog=gp,
-        )
+        return _finding(f"report:{report.kind}", report, gp)
 
     def classify_syscall_error(
         self, error: BpfError, gp: GeneratedProgram | None
     ) -> BugFinding | None:
         """Component bugs that surface as wrong syscall failures."""
-        if "kmemdup" in (error.message or ""):
-            m = obs.metrics()
-            m.counter("oracle.reports")
-            m.counter("oracle.component")
-            rec = obs.recorder()
-            if rec.enabled:
-                rec.event("oracle.finding", bug_id=Flaw.KMEMDUP_LIMIT.value,
-                          indicator="component", report="syscall-error")
-            return BugFinding(
-                bug_id=Flaw.KMEMDUP_LIMIT.value,
-                indicator="component",
-                report_kind="syscall-error",
-                message=error.message,
-                prog=gp,
-            )
-        return None
+        if "kmemdup" not in (error.message or ""):
+            return None
+        return _filed(BugFinding(
+            bug_id=Flaw.KMEMDUP_LIMIT.value,
+            indicator="component",
+            report_kind="syscall-error",
+            message=error.message,
+            prog=gp,
+        ))
 
     def classify_divergence(self, div) -> BugFinding | None:
         """Map one cross-version divergence to a finding (indicator #3).
 
         ``div`` is a :class:`repro.analysis.differential.Divergence`
         (duck-typed here so ``fuzz`` need not import ``analysis``).
-        Known-flaw divergences re-discover a registry bug statically —
-        the regression-oracle half; unexplained (and joint-delta-only)
-        divergences are new bug reports.  Feature gaps are expected
-        version skew: they stay in the divergence table but produce no
-        finding.
+        A known-flaw divergence (one registry flaw explains it)
+        re-discovers that bug statically — the regression-oracle half;
+        combined and unexplained divergences are new bug reports.
+        Feature gaps are expected version skew: they stay in the
+        divergence table but produce no finding.
         """
         if div.classification == "feature-gap":
             return None
@@ -251,19 +194,12 @@ class Oracle:
                 f"{div.outcome_a.verdict}/{div.outcome_a.reason or '-'} vs "
                 f"{div.outcome_b.verdict}/{div.outcome_b.reason or '-'}"
             )
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle.differential")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=bug_id,
-                      indicator="differential", report="divergence")
-        return BugFinding(
+        return _filed(BugFinding(
             bug_id=bug_id,
             indicator="differential",
             report_kind="divergence",
             message=message,
-        )
+        ))
 
     def classify_invariant(
         self, violation, gp: GeneratedProgram | None
@@ -275,60 +211,79 @@ class Oracle:
         but caught statically by the VStateChecker rather than at
         runtime by the sanitizer.
         """
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle.invariant")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=f"invariant:{violation.code}",
-                      indicator="invariant", report="invariant-violation")
-        return BugFinding(
+        return _filed(BugFinding(
             bug_id=f"invariant:{violation.code}",
             indicator="invariant",
             report_kind="invariant-violation",
             message=str(violation),
             prog=gp,
-        )
+        ))
 
     # --- triage --------------------------------------------------------------------
 
     def _triage_indicator1(self, gp: GeneratedProgram | None) -> str:
         """Differential root-cause attribution for indicator #1.
 
-        Re-verify the program with each candidate verifier flaw fixed;
-        the fix that flips the verdict to *reject* identifies the bug.
+        The smallest set of active indicator-#1 flaws whose fix makes
+        the verifier reject the program is the root cause, its flaws
+        joined by ``,``.  When no set of one or two does, the program
+        is replayed once with every injected flaw fixed: a reject
+        leaves the report ``indicator1-unattributed``, an accept means
+        our own verifier passed an invalid access (``verifier-unsound``).
         """
         if gp is None:
             return "indicator1-unattributed"
-        from repro.ebpf.program import BpfProgram
-
         candidates = [f for f in _INDICATOR1_FLAWS if self.config.has_flaw(f)]
-        # Once every active indicator-1 flaw has been attributed, further
-        # reports are duplicates; skip the expensive replays.
-        remaining = [f for f in candidates if f not in self._attributed]
-        if not remaining:
-            return "indicator1-duplicate"
-        for flaw in remaining + [f for f in candidates if f in self._attributed]:
-            obs.metrics().counter("oracle.triage_replays")
-            fixed = self.config.without_flaw(flaw)
-            kernel = replay_kernel(fixed, gp)
-            prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
-            try:
-                kernel.prog_load(prog, sanitize=False)
-            except VerifierReject:
-                self._attributed.add(flaw)
-                return flaw.value
-            except BpfError:
-                continue
+        fix = smallest_fix(
+            candidates,
+            lambda flaws: isinstance(self._replay(gp, flaws), VerifierReject),
+        )
+        if fix is not None:
+            return ",".join(flaw.value for flaw in fix)
+        if self._replay(gp, self.config.flaws) is None:
+            return "verifier-unsound"
         return "indicator1-unattributed"
 
-    def _finding(
-        self, flaw: Flaw, indicator: str, report: KernelReport, gp
-    ) -> BugFinding:
-        return BugFinding(
-            bug_id=flaw.value,
-            indicator=indicator,
-            report_kind=report.kind,
-            message=str(report),
-            prog=gp,
-        )
+    def _replay(self, gp: GeneratedProgram, flaws) -> BpfError | None:
+        """Load ``gp`` unsanitized with ``flaws`` fixed; the error the
+        load raised, or ``None`` if it was accepted."""
+        from repro.ebpf.program import BpfProgram
+
+        obs.metrics().counter("oracle.triage_replays")
+        kernel = replay_kernel(self.config.without_flaw(*flaws), gp)
+        prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)
+        try:
+            kernel.prog_load(prog, sanitize=False)
+        except BpfError as error:
+            return error
+        return None
+
+
+def _finding(cause: Flaw | str, report: KernelReport, gp,
+             indicator: str = "indicator2") -> BugFinding:
+    """``report``'s finding, caused by a registry flaw or named by a bug
+    id.  A component flaw's finding is a ``component`` one."""
+    if isinstance(cause, Flaw):
+        if cause in COMPONENT_FLAWS:
+            indicator = "component"
+        cause = cause.value
+    return BugFinding(
+        bug_id=cause,
+        indicator=indicator,
+        report_kind=report.kind,
+        message=str(report),
+        prog=gp,
+    )
+
+
+def _filed(finding: BugFinding) -> BugFinding:
+    """Count ``finding`` and log its ``oracle.finding`` event: the one
+    emission path of every ``Oracle.classify_*`` method."""
+    m = obs.metrics()
+    m.counter("oracle.reports")
+    m.counter("oracle." + finding.indicator)
+    rec = obs.recorder()
+    if rec.enabled:
+        rec.event("oracle.finding", bug_id=finding.bug_id,
+                  indicator=finding.indicator, report=finding.report_kind)
+    return finding

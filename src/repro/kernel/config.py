@@ -17,9 +17,11 @@ positives).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
-__all__ = ["Flaw", "KernelConfig", "PROFILES"]
+__all__ = ["Flaw", "KernelConfig", "PROFILES", "smallest_fix"]
 
 
 class Flaw(enum.Enum):
@@ -153,6 +155,27 @@ class KernelConfig:
 
     def component_flaws(self) -> frozenset[Flaw]:
         return self.flaws & COMPONENT_FLAWS
+
+
+def smallest_fix(
+    facts: Iterable, reproduces: Callable[[tuple], bool]
+) -> tuple | None:
+    """The first set of at most two ``facts`` for which ``reproduces``
+    holds, or ``None``.
+
+    Singletons are asked in the given order, then pairs in
+    ``itertools.combinations`` order, and the search stops at the first
+    hit.  A fact is whatever the caller toggles (a :class:`Flaw`, a
+    feature field name); turning a set into a config is the caller's
+    job.  Both root-cause attributions use it: the oracle's indicator-#1
+    triage and the differential oracle's divergence classification.
+    """
+    facts = tuple(facts)
+    for size in (1, 2):
+        for subset in itertools.combinations(facts, size):
+            if reproduces(subset):
+                return subset
+    return None
 
 
 def v5_15() -> KernelConfig:

@@ -33,13 +33,13 @@ class TestCli:
 
     def test_campaign_command_differential_triage(self, capsys):
         argv = ["campaign", "--workers", "1", "--shards", "2",
-                "--budget", "16", "--differential", "--triage"]
+                "--budget", "24", "--differential", "--triage"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         result = ParallelCampaign(
-            CampaignConfig(budget=16, differential=True), workers=1, shards=2
+            CampaignConfig(budget=24, differential=True), workers=1, shards=2
         ).run()
-        assert "16 programs over 2 shards x 1 workers" in out
+        assert "24 programs over 2 shards x 1 workers" in out
         assert (f"merged verifier coverage {result.final_coverage} edges"
                 in out)
         assert "Component" in out  # the bug table header

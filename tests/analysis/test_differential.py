@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.analysis import differential
 from repro.analysis.differential import (
     DEFAULT_PROFILES,
@@ -35,7 +36,7 @@ from repro.kernel.config import PROFILES, Flaw, pristine
 from repro.kernel.syscall import Kernel
 from repro.ebpf import asm
 from repro.ebpf.helpers import HelperId
-from repro.ebpf.kfuncs import KFUNC_RAND
+from repro.ebpf.kfuncs import KFUNC_GET_TASK, KFUNC_RAND
 from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.opcodes import AluOp, JmpOp, Reg, Size
 from repro.ebpf.program import BpfProgram, ProgType
@@ -256,6 +257,82 @@ class TestKfuncBacktrackWitness:
         assert div.outcome_a.fingerprint != div.outcome_b.fingerprint
         assert div.classification == "known-flaw"
         assert div.explanation == Flaw.KFUNC_BACKTRACK.value
+
+
+class TestPairWitnesses:
+    """v5.15 rejects and v6.1 accepts, and no single registry difference
+    explains it: the smallest explaining set is a pair."""
+
+    def program(self, *insns) -> GeneratedProgram:
+        return GeneratedProgram(insns=[*insns, asm.mov64_imm(Reg.R0, 0),
+                                       asm.exit_insn()],
+                                prog_type=ProgType.KPROBE, maps=[],
+                                plan=ExecutionPlan())
+
+    def two_features(self) -> GeneratedProgram:
+        """A kfunc call (``has_kfuncs``) and a sign-extending load (gated
+        by ``has_bpf_loop``): v5.15 lacks both features."""
+        return self.program(
+            asm.st_mem(Size.DW, Reg.R10, -8, 0),
+            asm.call_kfunc(KFUNC_RAND),
+            asm.ldx_memsx(Size.B, Reg.R1, Reg.R10, -8),
+        )
+
+    def flaw_and_feature(self) -> GeneratedProgram:
+        """A kfunc-returned task_struct read inside bug2's slack: v5.15
+        has neither kfuncs nor bug2."""
+        return self.program(
+            asm.call_kfunc(KFUNC_GET_TASK),
+            asm.ldx_mem(Size.H, Reg.R1, Reg.R0, 128),
+        )
+
+    def divergence(self, gp) -> Divergence:
+        [div] = DifferentialOracle(("v5.15", "v6.1")).run(gp)
+        assert (div.outcome_a.verdict, div.outcome_b.verdict) == (
+            "reject", "accept")
+        return div
+
+    def test_two_features_are_a_feature_gap(self):
+        div = self.divergence(self.two_features())
+        assert div.classification == "feature-gap"
+        assert div.explanation == "has_kfuncs,has_bpf_loop"
+        assert Oracle(PROFILES["bpf-next"]()).classify_divergence(div) is None
+
+    def test_flaw_and_feature_are_combined(self):
+        div = self.divergence(self.flaw_and_feature())
+        assert div.classification == "combined"
+        assert div.explanation == f"{Flaw.TASK_STRUCT_OOB.value},has_kfuncs"
+        finding = Oracle(PROFILES["bpf-next"]()).classify_divergence(div)
+        assert finding.bug_id.startswith(
+            "differential:combined:v5.15-vs-v6.1:")
+
+    def test_report_counts_pair_asks_as_replays(self, verifications):
+        """``repro report``'s verifications line (asked − primary −
+        reused, asked = profiles × programs + replays) still counts
+        every real verification when pair asks are replays."""
+        from repro.analysis.reports import render_dashboard
+        from repro.obs.metrics import MetricsRegistry
+
+        programs = [self.two_features(), self.flaw_and_feature()]
+        registry = MetricsRegistry()
+        token = obs.install(registry)
+        try:
+            divs = [div for gp in programs
+                    for div in DifferentialOracle().run(gp)]
+        finally:
+            obs.restore(token)
+        counters = registry.snapshot()["counters"]
+        assert any(div.classification != "unexplained"
+                   and "," in div.explanation for div in divs)
+        text = render_dashboard({
+            "summary": {"generated": len(programs)},
+            "metrics": {"counters": counters},
+            "differential": {"enabled": True},
+        })
+        assert (f"  verifications: {len(verifications)} run, 0 answered "
+                f"by the primary load, "
+                f"{counters['differential.reused']} from earlier reads"
+                ) in text.splitlines()
 
 
 class TestOracleFindingPolicy:

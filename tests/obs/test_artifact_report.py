@@ -152,6 +152,18 @@ class TestDashboard:
                 f"by the primary load, {reused} from earlier reads"
                 ) in text.splitlines()
 
+    def test_indicator1_triage_replays_under_bug_table(self):
+        result = Campaign(CampaignConfig(budget=150, seed=4)).run()
+        counters = result.metrics["counters"]
+        replays = counters["oracle.triage_replays"]
+        reports = counters["oracle.indicator1"]
+        assert replays >= reports > 0
+        lines = render_dashboard(build_artifact(result)).splitlines()
+        table = lines.index(next(line for line in lines
+                                 if line.startswith("bug indicators: ")))
+        assert lines[table + len(result.findings) + 1] == (
+            f"  indicator-1 triage: {replays} replays for {reports} reports")
+
     def test_report_cli(self, serial_result, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         write_artifact(build_artifact(serial_result), str(path))

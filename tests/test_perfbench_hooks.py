@@ -16,9 +16,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import differential, repair
+from repro.ebpf import asm
+from repro.ebpf.opcodes import Reg
+from repro.ebpf.program import ProgType
+from repro.errors import SanitizerReport
 from repro.fuzz import campaign
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.coverage import VerifierCoverage
+from repro.fuzz.oracle import Oracle
+from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
+from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -34,6 +41,10 @@ PATCHED = (
     (VerifierCoverage, "collect"),
     (VerifierCoverage, "replay"),
     (Kernel, "prog_load"),
+    (Oracle, "classify_report"),
+    (Oracle, "classify_syscall_error"),
+    (Oracle, "classify_divergence"),
+    (Oracle, "classify_invariant"),
 )
 
 
@@ -92,3 +103,22 @@ def test_harness_logs_every_program_and_restores(workloads):
     assert len(statuses) == result.generated
     assert workloads.FAILED not in statuses
     assert statuses.count(workloads.ACCEPTED) == result.accepted
+
+
+def test_indicator1_replays_are_sited_triage(spans):
+    """perfbench's ``verifier.calls_per_program.triage`` counts the
+    oracle's replays: each is a ``prog_load`` inside an
+    ``Oracle.classify_*`` span, never a differential verification."""
+    gp = GeneratedProgram(
+        insns=[asm.mov64_imm(Reg.R0, 0), asm.exit_insn()],
+        prog_type=ProgType.SOCKET_FILTER, maps=[], plan=ExecutionPlan())
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        finding = Oracle(PROFILES["bpf-next"]()).classify_report(
+            SanitizerReport("asan"), gp)
+    # No flaw explains an accepted two-insn program: every single and
+    # pair fix is replayed, then the all-fixed one.
+    assert finding.bug_id == "verifier-unsound"
+    sites = [span.attrs["site"] for span in tracer.spans
+             if span.layer == "verifier"]
+    assert sites == ["triage"] * 7
